@@ -21,6 +21,32 @@ VERTEX_WORD_BYTES = 4
 #: Bytes per (src, dst) edge record without weights.
 EDGE_BYTES = 8
 
+#: Largest supported vertex count: IDs must fit the paper's 32-bit words,
+#: which also keeps the packed (src, dst) sort key within 62 bits.
+MAX_VERTICES = 2**31
+
+
+def _sort_edges(num_vertices: int, src, dst, weights):
+    """Sort edges by (src, dst) on one packed 64-bit key.
+
+    ``key = (src << bits) | dst`` with ``bits = (V - 1).bit_length()``
+    orders exactly like ``np.lexsort((dst, src))``.  Without weights the
+    key is sorted in place and decoded by shift/mask (equal keys are
+    equal edges, so stability is moot); with weights a stable argsort of
+    the key carries them, keeping duplicate edges in input order.
+    """
+    bits = (int(num_vertices) - 1).bit_length()
+    key = src << bits
+    key |= dst
+    if weights is None:
+        key.sort()
+        dst = key & ((1 << bits) - 1)
+        key >>= bits
+        return key, dst, None
+    order = np.argsort(key, kind="stable")
+    del key
+    return src[order], dst[order], weights[order]
+
 
 class Graph:
     """A directed graph in COO format with ascending source vertex IDs.
@@ -48,15 +74,25 @@ class Graph:
         assume_sorted: bool = False,
     ):
         check_positive("num_vertices", num_vertices)
-        src = check_array_1d("src", src).astype(np.int64, copy=True)
-        dst = check_array_1d("dst", dst).astype(np.int64, copy=True)
+        if num_vertices > MAX_VERTICES:
+            raise ValueError(
+                f"num_vertices must be <= 2**31 (the paper's 32-bit vertex "
+                f"IDs), got {num_vertices}"
+            )
+        # The sort builds fresh arrays; only input stored as given
+        # (assume_sorted) needs a defensive copy.
+        copy = assume_sorted
+        src = check_array_1d("src", src).astype(np.int64, copy=copy)
+        dst = check_array_1d("dst", dst).astype(np.int64, copy=copy)
         if src.shape != dst.shape:
             raise ValueError(
                 f"src and dst must have equal length, "
                 f"got {src.size} vs {dst.size}"
             )
         if weights is not None:
-            weights = check_array_1d("weights", weights).copy()
+            weights = check_array_1d("weights", weights)
+            if copy:
+                weights = weights.copy()
             if weights.shape != src.shape:
                 raise ValueError("weights must have one entry per edge")
         if src.size and (src.min() < 0 or src.max() >= num_vertices):
@@ -65,11 +101,7 @@ class Graph:
             raise ValueError("dst IDs out of range")
 
         if not assume_sorted:
-            order = np.lexsort((dst, src))
-            src = src[order]
-            dst = dst[order]
-            if weights is not None:
-                weights = weights[order]
+            src, dst, weights = _sort_edges(num_vertices, src, dst, weights)
 
         self.num_vertices = int(num_vertices)
         self.src = src

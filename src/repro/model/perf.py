@@ -61,15 +61,19 @@ class PerformanceModel:
         src = np.asarray(src, dtype=np.int64)
         if src.size == 0:
             return np.zeros(0)
+        # Only edges that open a new block pay the Eq. 4 latency (edge 0
+        # always does, at distance 0); every other edge costs exactly the
+        # floor, so the latency is evaluated at the openings alone.
         blocks = src // self.config.vertices_per_block
-        new_block = np.empty(src.size, dtype=bool)
-        new_block[0] = True
-        new_block[1:] = blocks[1:] != blocks[:-1]
-        dist = np.zeros(src.size, dtype=np.float64)
-        dist[1:] = (src[1:] - src[:-1]) * VERTEX_WORD_BYTES
-        acs_v = np.where(new_block, self.big_fit.latency(dist), 0.0)
-        floor = max(self._acs_e(edge_bytes), self.config.proc_cycles_per_edge)
-        return np.maximum(acs_v, floor)
+        change = np.flatnonzero(blocks[1:] != blocks[:-1]) + 1
+        del blocks
+        dist = np.zeros(change.size + 1, dtype=np.float64)
+        dist[1:] = (src[change] - src[change - 1]) * VERTEX_WORD_BYTES
+        floor = self._edge_floor(edge_bytes)
+        costs = np.full(src.size, floor, dtype=np.float64)
+        opened = np.concatenate(([0], change))
+        costs[opened] = np.maximum(self.big_fit.latency(dist), floor)
+        return costs
 
     def edge_costs_little(
         self, src: np.ndarray, edge_bytes: int = EDGE_BYTES
@@ -78,11 +82,32 @@ class PerformanceModel:
         src = np.asarray(src, dtype=np.int64)
         if src.size == 0:
             return np.zeros(0)
-        dist = np.zeros(src.size, dtype=np.float64)
-        dist[1:] = (src[1:] - src[:-1]) * VERTEX_WORD_BYTES
-        acs_v = dist / BLOCK_BYTES
-        floor = max(self._acs_e(edge_bytes), self.config.proc_cycles_per_edge)
-        return np.maximum(acs_v, floor)
+        # Updated in place to avoid four edge-sized temporaries; every
+        # step is exact (gaps < 2**53, power-of-two scaling), so the
+        # result matches the step-by-step formula bit for bit.
+        costs = np.empty(src.size, dtype=np.float64)
+        costs[0] = 0.0
+        np.subtract(src[1:], src[:-1], out=costs[1:])
+        costs *= VERTEX_WORD_BYTES
+        costs /= BLOCK_BYTES
+        return np.maximum(costs, self._edge_floor(edge_bytes), out=costs)
+
+    def slice_costs_little(
+        self, costs: np.ndarray, lo: int, hi: int
+    ) -> np.ndarray:
+        """``edge_costs_little(src[lo:hi])`` from ``costs`` of all of ``src``.
+
+        A slice restarts the gap stream, so only its first edge changes:
+        it has no predecessor and costs the floor.
+        """
+        out = costs[lo:hi].copy()
+        if out.size:
+            out[0] = self._edge_floor()
+        return out
+
+    def _edge_floor(self, edge_bytes: int = EDGE_BYTES) -> float:
+        """Per-edge lower bound ``max(C_acs_e, C_proc)`` of Eq. 1."""
+        return max(self._acs_e(edge_bytes), self.config.proc_cycles_per_edge)
 
     def _acs_e(self, edge_bytes: int = EDGE_BYTES) -> float:
         """``C_acs_e = S_e / S_mem`` — constant sequential edge cost."""
@@ -105,14 +130,19 @@ class PerformanceModel:
         lane_srcs = [np.asarray(s, dtype=np.int64) for s in lane_srcs]
         if not lane_srcs:
             raise ValueError("group needs at least one partition")
-        merged = np.sort(np.concatenate(lane_srcs))
+        merged = np.concatenate(lane_srcs)
+        merged.sort()
         supply = float(self.edge_costs_big(merged).sum())
         gather_bound = max(s.size for s in lane_srcs) * self.config.ii_gpe
         return max(supply, float(gather_bound)) + self.const_big
 
     def estimate_little_execution(self, src: np.ndarray) -> float:
         """Cycles of one Little execution over one (sub-)partition."""
-        return float(self.edge_costs_little(src).sum()) + self.const_little
+        return self.little_cycles(self.edge_costs_little(src))
+
+    def little_cycles(self, costs: np.ndarray) -> float:
+        """Cycles of one Little execution from its per-edge ``costs``."""
+        return float(costs.sum()) + self.const_little
 
     def estimate_partition(self, partition: Partition, kind: str) -> float:
         """Estimated cycles of a single partition on a pipeline type.
@@ -157,6 +187,11 @@ class PerformanceModel:
             if kind == "big"
             else self.edge_costs_little(src)
         )
+        return self.window_sums(costs, window_edges)
+
+    @staticmethod
+    def window_sums(costs: np.ndarray, window_edges: int) -> np.ndarray:
+        """Sum per-edge ``costs`` over consecutive ``window_edges`` windows."""
         if costs.size == 0:
             return np.zeros(0)
         num_windows = -(-costs.size // window_edges)

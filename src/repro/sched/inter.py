@@ -10,7 +10,9 @@ total estimated times.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.graph.partition import Partition
 from repro.model.perf import PerformanceModel
@@ -19,6 +21,7 @@ from repro.model.perf import PerformanceModel
 def classify_partitions(
     partitions: Sequence[Partition],
     model: PerformanceModel,
+    little_costs: Optional[Sequence[np.ndarray]] = None,
 ) -> Tuple[List[int], List[int], List[float], List[float]]:
     """Split partitions into dense and sparse sets by modelled time.
 
@@ -33,13 +36,20 @@ def classify_partitions(
        dominated by a too-heavy partition (its Gather PE serialises);
        that partition is evicted to the dense set and grouping repeats.
 
+    ``little_costs`` are the partitions' per-edge Little costs
+    (``model.edge_costs_little(p.src)``), computed here when not given;
+    :func:`~repro.sched.scheduler.build_schedule` passes the arrays it
+    also cuts the dense cluster's windows from.
+
     Returns ``(dense_idx, sparse_idx, t_little, t_big)`` where the index
     lists refer to positions in ``partitions``.
     """
+    if little_costs is None:
+        little_costs = [model.edge_costs_little(p.src) for p in partitions]
     dense, sparse = [], []
     t_little, t_big = [], []
     for i, partition in enumerate(partitions):
-        tl = model.estimate_partition(partition, "little")
+        tl = model.little_cycles(little_costs[i])
         tb = model.estimate_partition(partition, "big")
         t_little.append(tl)
         t_big.append(tb)

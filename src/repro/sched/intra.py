@@ -14,7 +14,7 @@ destination intervals, and the Big merger combines their buffers.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -32,25 +32,31 @@ def split_dense_for_little(
     num_pipelines: int,
     model: PerformanceModel,
     window_edges: int = DEFAULT_WINDOW_EDGES,
+    little_costs: Optional[Sequence[np.ndarray]] = None,
 ) -> List[List[LittleTask]]:
     """Cut dense partitions into per-pipeline task lists of ~equal time.
 
     Windows of all dense partitions form one weighted sequence which is
     split into ``num_pipelines`` contiguous chunks; chunk boundaries
-    falling inside a partition produce sub-partition slices.
+    falling inside a partition produce sub-partition slices.  Window
+    weights and sub-partition estimates both come from the partitions'
+    per-edge Little costs (``little_costs``, computed here when not
+    given), so the edges are enumerated once.
     """
     if num_pipelines < 1:
         return []
     assignments: List[List[LittleTask]] = [[] for _ in range(num_pipelines)]
     if not dense:
         return assignments
+    if little_costs is None:
+        little_costs = [model.edge_costs_little(p.src) for p in dense]
 
     # Per-window weights, tagged with (partition ordinal, local edge lo).
     # Built with repeat/concatenate instead of a per-window Python loop:
     # window counts per partition expand directly into the owner and
     # local-offset columns.
     per_partition = [
-        model.window_weights(p.src, "little", window_edges) for p in dense
+        model.window_sums(costs, window_edges) for costs in little_costs
     ]
     counts = np.array([w.size for w in per_partition], dtype=np.int64)
     weights = (
@@ -90,7 +96,11 @@ def split_dense_for_little(
             )
             edge_hi = min(edge_hi, partition.num_edges)
             sub = partition.slice(edge_lo, edge_hi)
-            est = model.estimate_little_execution(sub.src)
+            est = model.little_cycles(
+                model.slice_costs_little(
+                    little_costs[ordinal], edge_lo, edge_hi
+                )
+            )
             assignments[pipe].append(LittleTask(sub, est))
     return assignments
 

@@ -41,8 +41,11 @@ def build_schedule(
     sizes (everything goes to the only cluster when one count is zero).
     """
     partitions = pset.nonempty()
+    # One Little cost pass per partition, shared by classification and
+    # the dense cluster's window cuts; the arrays die with this call.
+    little_costs = [model.edge_costs_little(p.src) for p in partitions]
     dense_idx, sparse_idx, t_little, t_big = classify_partitions(
-        partitions, model
+        partitions, model, little_costs
     )
 
     if forced_combo is not None:
@@ -80,8 +83,13 @@ def build_schedule(
     sparse_parts = [partitions[i] for i in sparse_idx]
 
     little_tasks = split_dense_for_little(
-        dense_parts, num_little, model, window_edges
+        dense_parts,
+        num_little,
+        model,
+        window_edges,
+        little_costs=[little_costs[i] for i in dense_idx],
     )
+    del little_costs
     groups = merge_sparse_groups(sparse_parts, model.config.n_gpe)
     big_tasks = split_groups_for_big(groups, num_big, model, window_edges)
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.arch.big_pipeline import BigPipelineSim
 from repro.arch.little_pipeline import LittlePipelineSim
-from repro.graph.coo import EDGE_BYTES
+from repro.graph.coo import EDGE_BYTES, VERTEX_WORD_BYTES
 from repro.hbm.channel import BLOCK_BYTES
 
 
@@ -132,3 +132,107 @@ class TestWindows:
             costs[cuts[i]:cuts[i + 1]].sum() for i in range(4)
         ]
         assert max(chunk_sums) / max(min(chunk_sums), 1e-9) < 1.6
+
+
+def _dense_edge_costs_big(model, src, edge_bytes=EDGE_BYTES):
+    """Big costs as first written: the Eq. 4 latency on every edge, kept
+    only where the source block changes."""
+    src = np.asarray(src, dtype=np.int64)
+    if src.size == 0:
+        return np.zeros(0)
+    blocks = src // model.config.vertices_per_block
+    new_block = np.empty(src.size, dtype=bool)
+    new_block[0] = True
+    new_block[1:] = blocks[1:] != blocks[:-1]
+    dist = np.zeros(src.size, dtype=np.float64)
+    dist[1:] = (src[1:] - src[:-1]) * VERTEX_WORD_BYTES
+    acs_v = np.where(new_block, model.big_fit.latency(dist), 0.0)
+    floor = max(edge_bytes / BLOCK_BYTES, model.config.proc_cycles_per_edge)
+    return np.maximum(acs_v, floor)
+
+
+def _dense_edge_costs_little(model, src, edge_bytes=EDGE_BYTES):
+    """Little costs as first written, one temporary per step."""
+    src = np.asarray(src, dtype=np.int64)
+    if src.size == 0:
+        return np.zeros(0)
+    dist = np.zeros(src.size, dtype=np.float64)
+    dist[1:] = (src[1:] - src[:-1]) * VERTEX_WORD_BYTES
+    acs_v = dist / BLOCK_BYTES
+    floor = max(edge_bytes / BLOCK_BYTES, model.config.proc_cycles_per_edge)
+    return np.maximum(acs_v, floor)
+
+
+def _cost_inputs():
+    rng = np.random.default_rng(11)
+    return {
+        "sorted": np.sort(rng.integers(0, 50_000, 4000)),
+        "unsorted": rng.integers(0, 50_000, 4000),
+        "single_edge": np.array([12345]),
+        "one_block": np.array([3, 0, 7, 7, 1, 15, 2]),
+        "huge_gaps": np.array([0, 10**6, 10**6 + 1, 2 * 10**9, 5]),
+    }
+
+
+class TestEdgeCostsBitExact:
+    """The sparse/in-place cost code equals the dense formulas bit for bit."""
+
+    @pytest.mark.parametrize("edge_bytes", [EDGE_BYTES, 12])
+    @pytest.mark.parametrize("case", sorted(_cost_inputs()))
+    def test_big_matches_dense_formula(self, perf_model, case, edge_bytes):
+        src = _cost_inputs()[case]
+        got = perf_model.edge_costs_big(src, edge_bytes=edge_bytes)
+        want = _dense_edge_costs_big(perf_model, src, edge_bytes)
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(got, want)
+        assert got.sum() == want.sum()
+
+    @pytest.mark.parametrize("edge_bytes", [EDGE_BYTES, 12])
+    @pytest.mark.parametrize("case", sorted(_cost_inputs()))
+    def test_little_matches_dense_formula(self, perf_model, case, edge_bytes):
+        src = _cost_inputs()[case]
+        got = perf_model.edge_costs_little(src, edge_bytes=edge_bytes)
+        want = _dense_edge_costs_little(perf_model, src, edge_bytes)
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(got, want)
+        assert got.sum() == want.sum()
+
+    def test_one_block_input_pays_latency_once(self, perf_model):
+        src = _cost_inputs()["one_block"]
+        costs = perf_model.edge_costs_big(src)
+        assert costs[0] == max(
+            float(perf_model.big_fit.latency(0.0)), costs[1]
+        )
+        assert np.all(costs[1:] == costs[1])
+
+    def test_partitions_match_dense_formula(self, perf_model, rmat_partitions):
+        for p in rmat_partitions.nonempty():
+            assert np.array_equal(
+                perf_model.edge_costs_big(p.src),
+                _dense_edge_costs_big(perf_model, p.src),
+            )
+            assert np.array_equal(
+                perf_model.edge_costs_little(p.src),
+                _dense_edge_costs_little(perf_model, p.src),
+            )
+
+    @pytest.mark.parametrize(
+        "lo,hi", [(0, 4000), (0, 1), (1, 2), (17, 1500), (3999, 4000), (9, 9)]
+    )
+    def test_slice_costs_equal_costs_of_the_slice(self, perf_model, lo, hi):
+        src = _cost_inputs()["sorted"]
+        costs = perf_model.edge_costs_little(src)
+        got = perf_model.slice_costs_little(costs, lo, hi)
+        want = perf_model.edge_costs_little(src[lo:hi])
+        assert np.array_equal(got, want)
+        assert perf_model.little_cycles(got) == (
+            perf_model.estimate_little_execution(src[lo:hi])
+        )
+
+    def test_window_sums_equal_window_weights(self, perf_model):
+        src = _cost_inputs()["sorted"]
+        costs = perf_model.edge_costs_little(src)
+        assert np.array_equal(
+            perf_model.window_sums(costs, 100),
+            perf_model.window_weights(src, "little", 100),
+        )

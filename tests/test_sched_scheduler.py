@@ -1,7 +1,12 @@
 """Tests for the end-to-end scheduler and the plan structure."""
 
+import hashlib
+import json
+
 import pytest
 
+from repro.sched.inter import classify_partitions
+from repro.sched.plan import BigTask
 from repro.sched.scheduler import build_schedule
 
 
@@ -82,3 +87,87 @@ class TestPlanMetrics:
             assert est == pytest.approx(
                 sum(t.estimated_cycles for t in tasks)
             )
+
+
+#: sha256 prefixes of :func:`_plan_fingerprint` on the ``rmat_partitions``
+#: fixture, recorded before classification and the dense cluster's window
+#: cuts shared one Little cost pass; keyed by (forced combo, window edges).
+PLAN_FINGERPRINTS = {
+    (None, 1024): "844fdf11d1dd1250",
+    (None, 64): "0e6a1f77c3f8c2ea",
+    ((0, 6), 1024): "57b1074535f42a09",
+    ((0, 6), 64): "e139d8688ee075d1",
+    ((1, 5), 1024): "8d295983781e7b7d",
+    ((1, 5), 64): "a4e1b9e9fd99a45a",
+    ((2, 4), 1024): "612905be83b50c42",
+    ((2, 4), 64): "424a43a1db829578",
+    ((3, 3), 1024): "844fdf11d1dd1250",
+    ((3, 3), 64): "0e6a1f77c3f8c2ea",
+    ((4, 2), 1024): "0de1b42d751f6196",
+    ((4, 2), 64): "1e6e5bec59fcbf74",
+    ((5, 1), 1024): "c719ebbf7bef16b6",
+    ((5, 1), 64): "be252a9c6d52defe",
+    ((6, 0), 1024): "8623a689e5bf812f",
+    ((6, 0), 64): "26bfddd81c397168",
+}
+
+
+def _plan_fingerprint(plan):
+    """Digest of a plan's decisions: combo, dense/sparse split, and every
+    task's pipeline and edge slices.  Estimates are checked exactly
+    against the model instead, so the pin does not depend on the last
+    bits of the host's least-squares calibration."""
+    tasks = []
+    for pipe, task in plan.iter_tasks():
+        parts = task.partitions if isinstance(task, BigTask) else [
+            task.partition
+        ]
+        tasks.append([
+            pipe,
+            [[p.index, p.num_edges, int(p.src[0]), int(p.dst[0])]
+             for p in parts if p.num_edges],
+        ])
+    doc = [plan.accelerator.label, plan.dense_indices,
+           plan.sparse_indices, tasks]
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()[:16]
+
+
+class TestSharedLittleCostPass:
+    """Reusing the Little cost arrays leaves every plan bit-identical."""
+
+    @pytest.mark.parametrize("key", sorted(PLAN_FINGERPRINTS, key=str))
+    def test_plan_identical_to_recorded(
+        self, rmat_partitions, perf_model, key
+    ):
+        combo, window_edges = key
+        plan = build_schedule(
+            rmat_partitions,
+            perf_model,
+            6,
+            forced_combo=combo,
+            window_edges=window_edges,
+        )
+        assert _plan_fingerprint(plan) == PLAN_FINGERPRINTS[key]
+        # Every estimate equals a fresh enumeration of the task's edges,
+        # which is how each was computed before the costs were shared.
+        for pipe, task in plan.iter_tasks():
+            if isinstance(task, BigTask):
+                fresh = perf_model.estimate_big_group(
+                    [p.src for p in task.partitions]
+                )
+            else:
+                fresh = perf_model.estimate_little_execution(
+                    task.partition.src
+                )
+            assert task.estimated_cycles == fresh, pipe
+
+    def test_classification_estimates_equal_fresh_enumeration(
+        self, rmat_partitions, perf_model
+    ):
+        parts = rmat_partitions.nonempty()
+        costs = [perf_model.edge_costs_little(p.src) for p in parts]
+        shared = classify_partitions(parts, perf_model, costs)
+        assert shared == classify_partitions(parts, perf_model)
+        assert shared[2] == [
+            perf_model.estimate_partition(p, "little") for p in parts
+        ]

@@ -38,21 +38,31 @@ def pagerank_reference(
 
 
 def bfs_reference(graph: Graph, root: int = 0) -> np.ndarray:
-    """Frontier BFS over out-CSR; unvisited vertices get 2**31 - 1."""
+    """Frontier BFS over out-CSR; unvisited vertices get 2**31 - 1.
+
+    Each level expands the whole frontier at once: gather every
+    neighbour of every frontier vertex, keep those not yet reached, and
+    the unique survivors are the next frontier.
+    """
     csr = CsrGraph.from_coo(graph)
+    indptr, indices = csr.indptr, csr.indices
     levels = np.full(graph.num_vertices, 2**31 - 1, dtype=np.int64)
     levels[root] = 0
     frontier = np.array([root], dtype=np.int64)
     depth = 0
     while frontier.size:
         depth += 1
-        nxt = []
-        for v in frontier:
-            for u in csr.neighbors(int(v)):
-                if levels[u] > depth:
-                    levels[u] = depth
-                    nxt.append(u)
-        frontier = np.array(nxt, dtype=np.int64)
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        # Flat edge offsets of all frontier rows: each row's start,
+        # repeated per neighbour, plus the neighbour's rank in the row.
+        firsts = np.cumsum(counts) - counts
+        offsets = np.repeat(starts - firsts, counts) + np.arange(
+            counts.sum()
+        )
+        neighbours = indices[offsets]
+        frontier = np.unique(neighbours[levels[neighbours] > depth])
+        levels[frontier] = depth
     return levels
 
 
@@ -68,23 +78,32 @@ def closeness_reference(graph: Graph, root: int = 0) -> float:
 
 
 def wcc_reference(graph: Graph) -> np.ndarray:
-    """Union-find weak components; labels are each component's min ID."""
-    parent = np.arange(graph.num_vertices, dtype=np.int64)
+    """Weak components by min-label hooking plus pointer jumping; labels
+    are each component's min ID.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for s, d in zip(graph.src, graph.dst):
-        rs, rd = find(int(s)), find(int(d))
-        if rs != rd:
-            parent[max(rs, rd)] = min(rs, rd)
-    labels = np.array(
-        [find(i) for i in range(graph.num_vertices)], dtype=np.int64
-    )
-    return labels
+    Every label names a vertex of the same component and never exceeds
+    its own vertex, and after jumping every label is a root
+    (``labels[r] == r``).  Each round hooks the larger root of every
+    edge whose endpoints still disagree onto the smaller one, then
+    jumps to the fixpoint.  A component's min vertex can only label
+    itself, so it is the component's one root once no edge disagrees.
+    """
+    labels = np.arange(graph.num_vertices, dtype=np.int64)
+    src, dst = graph.src, graph.dst
+    while True:
+        ls, ld = labels[src], labels[dst]
+        # Endpoints on one root stay on one root: drop those edges.
+        active = ls != ld
+        if not active.any():
+            return labels
+        src, dst = src[active], dst[active]
+        ls, ld = ls[active], ld[active]
+        np.minimum.at(labels, np.maximum(ls, ld), np.minimum(ls, ld))
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
 
 
 def sssp_reference(graph: Graph, root: int = 0) -> np.ndarray:

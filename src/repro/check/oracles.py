@@ -125,16 +125,13 @@ def model_oracle(
 def _component_canonical(labels: np.ndarray) -> np.ndarray:
     """Relabel components by first occurrence, making partitions of the
     vertex set comparable regardless of which member names the label."""
-    _, canonical = np.unique(labels, return_inverse=True)
-    first_seen: dict = {}
-    out = np.empty(labels.size, dtype=np.int64)
-    next_id = 0
-    for i, c in enumerate(canonical):
-        if c not in first_seen:
-            first_seen[c] = next_id
-            next_id += 1
-        out[i] = first_seen[c]
-    return out
+    _, first, inverse = np.unique(
+        labels, return_index=True, return_inverse=True
+    )
+    # Rank each distinct label by the index where it first appears.
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size, dtype=np.int64)
+    return rank[inverse]
 
 
 def functional_oracle(

@@ -22,6 +22,7 @@ from repro.apps.reference import (
     wcc_reference,
 )
 from repro.arch.config import PipelineConfig
+from repro.check.oracles import _component_canonical
 from repro.core.framework import ReGraph
 from repro.graph.generators import power_law_graph, rmat_graph
 
@@ -41,15 +42,8 @@ def _check(name: str, condition: bool, detail: str = "") -> CheckResult:
 
 def _same_partition(labels_a: np.ndarray, labels_b: np.ndarray) -> bool:
     """Whether two labelings induce the same partition into groups."""
-    if labels_a.shape != labels_b.shape:
-        return False
-    _, canon_a = np.unique(labels_a, return_inverse=True)
-    _, canon_b = np.unique(labels_b, return_inverse=True)
-    # Two partitions match iff the pairing of canonical IDs is bijective.
-    pairs = set(zip(canon_a.tolist(), canon_b.tolist()))
-    return (
-        len(pairs) == len(set(a for a, _ in pairs))
-        and len(pairs) == len(set(b for _, b in pairs))
+    return labels_a.shape == labels_b.shape and np.array_equal(
+        _component_canonical(labels_a), _component_canonical(labels_b)
     )
 
 

@@ -10,6 +10,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.apps.wcc import symmetrized
+from repro.chaos import DEFAULT_CHAOS_POLICY, CellSpec, GraphSpec
+from repro.chaos.campaign import _execute, _framework
+from repro.chaos.oracles import validate_cell
 from repro.check import (
     ORACLE_APPS,
     ConformanceReport,
@@ -79,6 +83,121 @@ class TestFunctionalOracle:
     def test_unknown_app_rejected(self, graph, framework):
         with pytest.raises(ConformanceError):
             functional_oracle(graph, "nope", framework)
+
+
+# ----------------------------------------------------------------------
+# Negative controls: a wrong answer must fail both result oracles
+# ----------------------------------------------------------------------
+UNREACHED = 2**31 - 1
+
+
+def _move_one_vertex(labels):
+    """Move one member of the largest component into another one."""
+    values, counts = np.unique(labels, return_counts=True)
+    assert values.size >= 2 and counts.max() >= 2
+    biggest = values[np.argmax(counts)]
+    out = labels.copy()
+    out[np.flatnonzero(labels == biggest)[-1]] = values[values != biggest][0]
+    return out
+
+
+def _merge_two_components(labels):
+    values = np.unique(labels)
+    assert values.size >= 2
+    out = labels.copy()
+    out[labels == values[1]] = values[0]
+    return out
+
+
+def _one_level_off(levels):
+    reached = np.flatnonzero((levels > 0) & (levels < UNREACHED))
+    assert reached.size
+    out = levels.copy()
+    out[reached[-1]] += 1
+    return out
+
+
+#: case -> (app, corruption of a correct run's answer)
+CORRUPTIONS = {
+    "wcc-vertex-moved": (
+        "wcc",
+        lambda run: dataclasses.replace(
+            run, props=_move_one_vertex(run.props)
+        ),
+    ),
+    "wcc-components-merged": (
+        "wcc",
+        lambda run: dataclasses.replace(
+            run, props=_merge_two_components(run.props)
+        ),
+    ),
+    "bfs-level-off-by-one": (
+        "bfs",
+        lambda run: dataclasses.replace(run, props=_one_level_off(run.props)),
+    ),
+    "closeness-off-by-1e-6": (
+        "closeness",
+        lambda run: dataclasses.replace(run, result=run.result + 1e-6),
+    ),
+}
+
+
+class _CorruptingFramework:
+    """A real framework whose ``run*`` answers are corrupted on return."""
+
+    def __init__(self, framework, corrupt):
+        self._framework = framework
+        self._corrupt = corrupt
+
+    def __getattr__(self, name):
+        attr = getattr(self._framework, name)
+        if name.startswith("run"):
+            return lambda *args, **kwargs: self._corrupt(attr(*args, **kwargs))
+        return attr
+
+
+@pytest.fixture(scope="module")
+def chaos_runs():
+    """app -> (cell, graph, framework, run) of one clean chaos cell."""
+    runs = {}
+
+    def get(app):
+        if app not in runs:
+            cell = CellSpec(
+                cell_id=f"negative-{app}", device="U280", app=app,
+                graph=GraphSpec(kind="rmat", vertices=512, edges=3000,
+                                seed=7),
+            )
+            graph = cell.graph.build()
+            if app == "wcc":
+                graph = symmetrized(graph)
+            framework = _framework(cell)
+            run = _execute(cell, framework, graph, DEFAULT_CHAOS_POLICY)
+            runs[app] = (cell, graph, framework, run)
+        return runs[app]
+
+    return get
+
+
+class TestOraclesRejectWrongAnswers:
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_functional_oracle_rejects(self, case, graph, framework):
+        app, corrupt = CORRUPTIONS[case]
+        assert functional_oracle(graph, app, framework).passed
+        result = functional_oracle(
+            graph, app, _CorruptingFramework(framework, corrupt)
+        )
+        assert not result.passed, str(result)
+        assert result.max_error > 0
+
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_validate_cell_rejects(self, case, chaos_runs):
+        app, corrupt = CORRUPTIONS[case]
+        cell, graph, framework, run = chaos_runs(app)
+        assert validate_cell(cell, graph, framework, run) == []
+        violations = validate_cell(cell, graph, framework, corrupt(run))
+        assert len(violations) == 1, violations
+        assert violations[0].startswith("result:")
 
 
 class TestModelOracle:

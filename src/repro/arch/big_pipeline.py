@@ -24,12 +24,7 @@ from repro.arch.timing import PartitionTiming
 from repro.arch.vertex_loader import VertexLoaderSim
 from repro.graph.partition import Partition
 from repro.hbm.channel import HbmChannelModel
-from repro.perf.simcache import (
-    config_digest,
-    config_digest_prefix,
-    get_cache,
-    timing_key,
-)
+from repro.perf.simcache import config_digest_prefix, get_cache, timing_key
 from repro.utils.prefix import running_release_times
 
 
@@ -159,9 +154,6 @@ class BigPipelineSim:
         self._cache_prefix = config_digest_prefix(
             "big", config, channel.params
         )
-        #: Staleness tag for the shared (tier-2) cache: entries written
-        #: under a different configuration digest are never served.
-        self._config_digest = config_digest(self._cache_prefix)
 
     _cumcount_sorted = staticmethod(_cumcount_sorted)
 
@@ -257,8 +249,8 @@ class BigPipelineSim:
 
         The timing is a pure function of the merged edge content, the
         lane assignment and the frozen pipeline/channel configuration,
-        so results are shared through the content-addressed cache
-        across iterations, retries, sweeps and processes.  Active
+        so results are shared through the in-process content-addressed
+        cache across iterations, retries and sweeps.  Active
         timing faults make the result injector-state-dependent; those
         calls bypass the cache entirely (never read, never written),
         mirroring ``SystemSimulator._timing_pass``.
@@ -275,10 +267,10 @@ class BigPipelineSim:
         key = timing_key(
             self._cache_prefix, edge_bytes, (src, lanes), extra=(num_lanes,)
         )
-        timing = cache.get(key, self._config_digest)
+        timing = cache.get(key)
         if timing is None:
             timing = self._compute_timing(src, lanes, num_lanes, edge_bytes)
-            cache.put(key, timing, self._config_digest)
+            cache.put(key, timing)
         return timing
 
     def _compute_timing(

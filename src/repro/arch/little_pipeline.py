@@ -21,12 +21,7 @@ from repro.arch.pingpong import PingPongBufferSim
 from repro.arch.timing import PartitionTiming
 from repro.graph.partition import Partition
 from repro.hbm.channel import HbmChannelModel
-from repro.perf.simcache import (
-    config_digest,
-    config_digest_prefix,
-    get_cache,
-    timing_key,
-)
+from repro.perf.simcache import config_digest_prefix, get_cache, timing_key
 from repro.utils.prefix import running_release_times
 
 
@@ -58,9 +53,6 @@ class LittlePipelineSim:
         self._cache_prefix = config_digest_prefix(
             "little", config, channel.params
         )
-        #: Staleness tag for the shared (tier-2) cache: entries written
-        #: under a different configuration digest are never served.
-        self._config_digest = config_digest(self._cache_prefix)
 
     def execute(
         self,
@@ -96,8 +88,8 @@ class LittlePipelineSim:
 
         Pure function of the partition's source content, the edge width
         and the frozen pipeline/channel configuration — shared through
-        the content-addressed cache across iterations, retries, sweeps
-        and processes.  Calls under an *active* timing fault bypass the
+        the in-process content-addressed cache across iterations,
+        retries and sweeps.  Calls under an *active* timing fault bypass the
         cache (never read, never written), mirroring
         ``SystemSimulator._timing_pass``.
         """
@@ -111,10 +103,10 @@ class LittlePipelineSim:
             cache.note_bypass()
             return self._compute_timing(src, edge_bytes)
         key = timing_key(self._cache_prefix, edge_bytes, (src,))
-        timing = cache.get(key, self._config_digest)
+        timing = cache.get(key)
         if timing is None:
             timing = self._compute_timing(src, edge_bytes)
-            cache.put(key, timing, self._config_digest)
+            cache.put(key, timing)
         return timing
 
     def _compute_timing(

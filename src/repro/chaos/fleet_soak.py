@@ -212,11 +212,11 @@ class FleetSoakResult:
     config: FleetSoakConfig
     report: FleetReport
     kills: List[ReplicaKill] = field(default_factory=list)
-    #: Execution-acceleration stats (worker count, prewarmed specs,
-    #: simulation-cache counters).  Deliberately kept *outside*
-    #: :class:`FleetReport`: the report digest certifies the served
-    #: outcome, which must be identical between serial and parallel
-    #: runs, while these counters describe how fast we got there.
+    #: Execution-acceleration stats (placement probes, simulation-cache
+    #: counters).  Deliberately kept *outside* :class:`FleetReport`: the
+    #: report digest certifies the served outcome, which must not depend
+    #: on cache settings, while these counters describe how fast we got
+    #: there.
     perf: dict = field(default_factory=dict)
     #: Durability accounting (results restored from the store, replay
     #: duplicates suppressed, divergences) — same side-channel contract
@@ -269,9 +269,8 @@ def run_fleet_soak(
     """Generate and serve the soak's job stream under its kill schedule.
 
     ``perf`` (a :class:`~repro.perf.config.PerfConfig`) configures the
-    simulation cache and, with ``workers > 1``, prewarms every distinct
-    (device, graph) spec on worker processes before the — inherently
-    serial — event loop starts.  The report digest is unaffected.
+    simulation cache and the compiled core before the event loop
+    starts.  The report digest is unaffected.
 
     ``journal_path``/``store_path`` attach the durability pair (see
     ``docs/DURABILITY.md``); the digest is again unaffected.
@@ -281,9 +280,8 @@ def run_fleet_soak(
 
     ``autoscale`` attaches an :class:`~repro.fleet.autoscale.Autoscaler`
     (or, given an :class:`~repro.fleet.autoscale.AutoscalePolicy`,
-    builds one wired to the shared timing store the ``perf`` config
-    attached, for warm-started spawns).  Per-job result digests are
-    unaffected — scaling changes when jobs run, not what they compute.
+    builds one).  Per-job result digests are unaffected — scaling
+    changes when jobs run, not what they compute.
     """
     from repro.fleet.journal import JobJournal
     from repro.fleet.store import ResultStore
@@ -303,22 +301,14 @@ def run_fleet_soak(
     )
     scaler = autoscale
     if scaler is not None and not hasattr(scaler, "observe"):
-        # An AutoscalePolicy: build the engine, warm-starting from the
-        # shared store the perf config attaches (if any).
         from repro.fleet.autoscale import Autoscaler
-        from repro.perf.simcache import get_cache
 
-        if perf is not None:
-            perf.apply()
-        scaler = Autoscaler(scaler, store=get_cache().shared)
+        scaler = Autoscaler(scaler)
     runtime = FleetRuntime(
         pool, policy, journal=journal, store=store, autoscaler=scaler
     )
-    prewarmed = 0
     if perf is not None:
         perf.apply()
-        if perf.parallel:
-            prewarmed = runtime.prewarm(jobs, perf)
     report = runtime.run(
         jobs, kills=kills, halt_after_events=halt_after_events
     )
@@ -331,8 +321,6 @@ def run_fleet_soak(
         from repro.perf.simcache import get_cache
 
         result.perf = {
-            "workers": perf.workers,
-            "prewarmed_specs": prewarmed,
             "placement": dict(runtime.placement.probe_stats),
             **get_cache().stats(),
         }

@@ -69,13 +69,20 @@ def _add_platform_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pipelines", type=int, default=None)
 
 
-def _add_perf_arguments(parser: argparse.ArgumentParser) -> None:
-    """Uniform execution-acceleration knobs (see docs/PERFORMANCE.md)."""
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for parallelizable stages (default 1 = "
-             "serial; results are bit-identical either way)",
-    )
+def _add_perf_arguments(
+    parser: argparse.ArgumentParser, jobs: bool = True
+) -> None:
+    """Uniform execution-acceleration knobs (see docs/PERFORMANCE.md).
+
+    ``jobs=False`` leaves out ``--jobs`` for commands with nothing to
+    fan out (the fleet event loop is serial by construction).
+    """
+    if jobs:
+        parser.add_argument(
+            "--jobs", type=int, default=1, metavar="N",
+            help="worker processes for parallelizable stages (default "
+                 "1 = serial; results are bit-identical either way)",
+        )
     parser.add_argument(
         "--no-sim-cache", action="store_true",
         help="disable the content-addressed partition-timing cache",
@@ -90,12 +97,6 @@ def _add_perf_arguments(parser: argparse.ArgumentParser) -> None:
              "interpreted reference path (results are bit-identical "
              "either way; this is the escape hatch)",
     )
-    parser.add_argument(
-        "--shared-cache", default=None, metavar="DIR",
-        help="attach a crash-safe on-disk timing store (tier 2) under "
-             "DIR, shared across processes; damaged entries are "
-             "quarantined, never served (see docs/PERFORMANCE.md)",
-    )
 
 
 def _perf_config(args):
@@ -105,11 +106,10 @@ def _perf_config(args):
     if entries is None:
         entries = DEFAULT_CACHE_ENTRIES
     return PerfConfig(
-        workers=args.jobs,
+        workers=getattr(args, "jobs", 1),
         cache_enabled=not args.no_sim_cache,
         cache_entries=entries,
         compiled=not args.no_compiled,
-        shared_cache_dir=args.shared_cache,
     )
 
 
@@ -118,25 +118,13 @@ def _print_cache_stats() -> None:
     from repro.perf import get_cache
 
     stats = get_cache().stats()
-    activity = (
-        stats["hits"] + stats["misses"] + stats["bypasses"]
-        + stats["tier2_hits"]
-    )
+    activity = stats["hits"] + stats["misses"] + stats["bypasses"]
     if not stats["enabled"] or activity == 0:
         return
     print(f"sim cache: {stats['hits']} hits / {stats['misses']} misses "
           f"(hit rate {stats['hit_rate']:.1%}), "
           f"{stats['entries']}/{stats['max_entries']} entries, "
           f"{stats['bypasses']} fault bypasses")
-    shared = stats.get("shared")
-    if shared is not None:
-        print(f"shared cache [{shared['root']}]: "
-              f"{stats['tier2_hits']} tier-2 hits / "
-              f"{stats['tier2_misses']} tier-2 misses, "
-              f"{shared['entries']} entries on disk, "
-              f"{shared['writes']} written, "
-              f"{shared['quarantined']} quarantined "
-              f"({shared['stale']} stale)")
     from repro.compiled import compiled_stats
 
     cstats = compiled_stats()
@@ -456,8 +444,6 @@ def cmd_chaos(args) -> int:
         return _chaos_kill_restart(args)
     if args.chaos_command == "serve-kill":
         return _chaos_serve_kill(args)
-    if args.chaos_command == "cache-poison":
-        return _chaos_cache_poison(args)
     return _chaos_report(args)
 
 
@@ -653,51 +639,6 @@ def _chaos_kill_restart(args) -> int:
     return 0 if result.passed else 1
 
 
-def _chaos_cache_poison(args) -> int:
-    import json
-
-    from repro.chaos.cache_poison import CachePoisonConfig, run_cache_poison
-
-    config = CachePoisonConfig(
-        apps=tuple(args.app or ["pagerank", "bfs"]),
-        graphs=args.graphs,
-        vertices=args.vertices,
-        edges=args.edges,
-        seed=args.chaos_seed,
-        max_iterations=args.iterations,
-        bit_flips=args.bit_flips,
-        torn_writes=args.torn_writes,
-        stale_entries=args.stale_entries,
-    )
-    print(f"cache-poison: {'/'.join(config.apps)} over "
-          f"{config.graphs} graph(s) each, seed {config.seed}, "
-          f"damage {config.bit_flips} bit-flip / "
-          f"{config.torn_writes} torn / {config.stale_entries} stale")
-    result = run_cache_poison(config, args.workdir)
-    print(f"seeded {result.entries_seeded} entries; warm rerun served "
-          f"{result.tier2_hits_warm} tier-2 hit(s)")
-    for line in result.poison_log:
-        print(f"  poison: {line}")
-    print(f"quarantined: {len(result.quarantined_keys)} bundle(s), "
-          f"swept {result.swept_tmp} orphaned tmp file(s), "
-          f"scrub quarantined {result.scrub_quarantined} file(s)")
-    print(f"reference digest: {result.reference_digest}")
-    print(f"poisoned  digest: {result.poisoned_digest}")
-    print(f"oracles: digests_equal="
-          f"{'yes' if result.digests_equal else 'NO'} "
-          f"victims_quarantined="
-          f"{'yes' if result.all_victims_quarantined else 'NO'} "
-          f"stale_served={result.stale_served}")
-    if args.report_json:
-        with open(args.report_json, "w") as fh:
-            json.dump(result.to_dict(), fh, indent=2)
-        print(f"report written to {args.report_json}")
-    print("cache-poison PASSED: damage quarantined, never served, "
-          "results bit-identical" if result.passed
-          else "cache-poison FAILED")
-    return 0 if result.passed else 1
-
-
 def _chaos_serve_kill(args) -> int:
     import json
 
@@ -839,7 +780,6 @@ def _fleet_run(args) -> int:
           f"{len(config.replicas)} replicas "
           f"({'/'.join(config.replicas)}), seed {config.seed}, "
           f"intensity {config.intensity}"
-          + (f", {perf.workers} workers" if perf.parallel else "")
           + (f", journaled to {args.journal}" if args.journal else ""))
     if (args.store or args.crash_after) and not args.journal:
         from repro.errors import UserInputError
@@ -952,34 +892,25 @@ def _fleet_resume(args) -> int:
 
 
 def _print_perf_stats(perf: dict) -> None:
-    """Execution-acceleration line for a soak (silent when absent)."""
+    """Execution-acceleration lines for a soak (silent when absent).
+
+    Reports saved by older builds carry extra keys (worker count,
+    warm-up and on-disk cache counters, probe-evaluator stats); they
+    are ignored.
+    """
     if not perf:
         return
-    line = (f"perf: {perf.get('workers', 1)} worker(s), "
-            f"{perf.get('prewarmed_specs', 0)} prewarmed spec(s)")
     if perf.get("hits", 0) or perf.get("misses", 0):
-        line += (f", sim cache {perf['hits']} hits / "
-                 f"{perf['misses']} misses "
-                 f"(hit rate {perf.get('hit_rate', 0.0):.1%})")
-    if perf.get("bypasses", 0):
-        line += f", {perf['bypasses']} fault bypasses"
-    print(line)
+        line = (f"perf: sim cache {perf['hits']} hits / "
+                f"{perf['misses']} misses "
+                f"(hit rate {perf.get('hit_rate', 0.0):.1%})")
+        if perf.get("bypasses", 0):
+            line += f", {perf['bypasses']} fault bypasses"
+        print(line)
     placement = perf.get("placement")
     if placement and placement.get("probes", 0):
-        print(f"placement probes: {placement['probes']} what-if probes, "
-              f"{placement['evaluator_builds']} evaluators built, "
-              f"{placement['incremental_refreshes']} incremental "
-              f"refreshes ({placement['nodes_reevaluated']} nodes), "
-              f"{placement['full_evaluations']} full evaluations")
-    shared = perf.get("shared")
-    if shared:
-        print(f"shared cache [{shared.get('root', '?')}]: "
-              f"{perf.get('tier2_hits', 0)} tier-2 hits / "
-              f"{perf.get('tier2_misses', 0)} tier-2 misses, "
-              f"{shared.get('entries', 0)} entries on disk, "
-              f"{shared.get('writes', 0)} written, "
-              f"{shared.get('quarantined', 0)} quarantined "
-              f"({shared.get('stale', 0)} stale)")
+        print(f"placement probes: {placement['probes']} Eq. 1-4 "
+              f"estimates")
 
 
 def _print_autoscale_stats(autoscale: dict) -> None:
@@ -988,15 +919,11 @@ def _print_autoscale_stats(autoscale: dict) -> None:
         return
     p99 = autoscale.get("p99_latency_seconds")
     print(f"autoscaler: {autoscale.get('spawned', 0)} spawned / "
-          f"{autoscale.get('retired', 0)} retired, "
-          f"{autoscale.get('warmed_entries', 0)} cache entries "
-          f"warm-started"
+          f"{autoscale.get('retired', 0)} retired"
           + (f", p99 latency {p99 * 1e3:.2f} ms" if p99 else ""))
     for decision in autoscale.get("decisions", []):
         print(f"  {decision['action']}: {decision['replica_id']} "
-              f"at t={decision['time'] * 1e3:.2f} ms"
-              + (f" (warmed {decision['warmed_entries']})"
-                 if "warmed_entries" in decision else ""))
+              f"at t={decision['time'] * 1e3:.2f} ms")
 
 
 def _load_fleet_report(path):
@@ -1480,35 +1407,6 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--report-json", default=None,
                     help="write the cell result as JSON")
 
-    pc = chaos_sub.add_parser(
-        "cache-poison",
-        help="corrupt the shared timing cache (bit rot, torn writes, "
-             "stale configs, kill -9 leftovers), assert quarantine "
-             "containment and bit-identical results",
-    )
-    pc.add_argument("--app", action="append", metavar="APP",
-                    help="workload app (repeatable; default pagerank bfs)")
-    pc.add_argument("--graphs", type=int, default=3,
-                    help="seeded graphs per app (default 3)")
-    pc.add_argument("--vertices", type=int, default=192)
-    pc.add_argument("--edges", type=int, default=768)
-    pc.add_argument("--chaos-seed", type=int, default=0,
-                    help="seeds graphs AND victim selection")
-    pc.add_argument("--iterations", type=int, default=5,
-                    help="per-cell iteration cap (default 5)")
-    pc.add_argument("--bit-flips", type=int, default=2,
-                    help="cache entries damaged by bit rot (default 2)")
-    pc.add_argument("--torn-writes", type=int, default=2,
-                    help="cache entries with truncated tails (default 2)")
-    pc.add_argument("--stale-entries", type=int, default=1,
-                    help="intact entries forged with a wrong config "
-                         "digest (default 1)")
-    pc.add_argument("--workdir", default="cache-poison",
-                    help="directory for the shared store and its "
-                         "quarantine (default ./cache-poison)")
-    pc.add_argument("--report-json", default=None,
-                    help="write the cell result as JSON")
-
     p = sub.add_parser(
         "fleet",
         help="serve a seeded job stream over a replica pool under faults",
@@ -1566,7 +1464,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="skip per-append fsync on journal/store "
                          "(faster; crash guarantee weakened)")
     pf.add_argument("--autoscale", action="store_true",
-                    help="attach the warm-start autoscaler: spawn/retire "
+                    help="attach the autoscaler: spawn/retire "
                          "replicas off admission telemetry "
                          "(docs/FLEET.md)")
     pf.add_argument("--autoscale-min", type=int, default=1,
@@ -1577,7 +1475,7 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="SECONDS",
                     help="virtual seconds between scaling actions "
                          "(default 0.5)")
-    _add_perf_arguments(pf)
+    _add_perf_arguments(pf, jobs=False)
 
     pf = fleet_sub.add_parser(
         "resume",

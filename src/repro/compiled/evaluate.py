@@ -232,7 +232,6 @@ def publish_to_cache(
     disabled or the entries are already present).
     """
     from repro.perf.simcache import (
-        config_digest,
         config_digest_prefix,
         get_cache,
         timing_key,
@@ -246,7 +245,6 @@ def publish_to_cache(
         "little": config_digest_prefix("little", config, channel.params),
         "big": config_digest_prefix("big", config, channel.params),
     }
-    digests = {kind: config_digest(p) for kind, p in prefixes.items()}
     written = 0
     for node in cplan.nodes:
         if node.kind == "little":
@@ -259,7 +257,7 @@ def publish_to_cache(
                 extra=(node.num_lanes,),
             )
         if not cache.contains(key):
-            cache.put(key, timings[node.index], digests[node.kind])
+            cache.put(key, timings[node.index])
             written += 1
     return written
 

@@ -1,6 +1,6 @@
 """Incremental re-simulation: re-evaluate only what a change touches.
 
-Sweeps, chaos campaigns and what-if probes mutate one thing at a time —
+Sweeps and chaos campaigns mutate one thing at a time —
 a channel parameter, one scheduled task, one fault site — and the
 compiled structure makes the blast radius of each mutation explicit:
 

@@ -73,7 +73,7 @@ from repro.fleet.journal import (
     project_journal,
     repair_journal,
 )
-from repro.fleet.placement import PROBE_MODES, PlacementEngine
+from repro.fleet.placement import PlacementEngine
 from repro.fleet.replica import QUARANTINED, RETIRED, Replica, make_replica
 from repro.fleet.report import AssignmentRecord, FleetReport
 from repro.fleet.store import ResultStore
@@ -112,11 +112,6 @@ class FleetPolicy:
     #: Placement health penalties (see PlacementEngine).
     breaker_penalty: float = 0.25
     degraded_penalty: float = 0.5
-    #: How ``predicted_seconds`` probes replicas: "incremental" keeps a
-    #: per-artefact compiled evaluator and dirties only what a probe
-    #: changes; "full" cold-evaluates every probe (the oracle);
-    #: "analytic" is the legacy Eq. 1-4 estimate.
-    placement_probe_mode: str = "incremental"
     #: Run every completed job through the chaos conformance oracles.
     check_conformance: bool = True
     #: Per-run resilience layer handed to every execute.
@@ -172,11 +167,6 @@ class FleetPolicy:
         if self.canary_vertices < 2 or self.canary_edges < 1:
             raise UserInputError(
                 "canary graph must have >= 2 vertices and >= 1 edge"
-            )
-        if self.placement_probe_mode not in PROBE_MODES:
-            raise UserInputError(
-                f"placement_probe_mode must be one of {PROBE_MODES}, "
-                f"got {self.placement_probe_mode!r}"
             )
 
     def backoff_seconds(self, attempt: int) -> float:
@@ -370,7 +360,6 @@ class FleetRuntime:
         self.placement = PlacementEngine(
             breaker_penalty=self.policy.breaker_penalty,
             degraded_penalty=self.policy.degraded_penalty,
-            probe_mode=self.policy.placement_probe_mode,
         )
         self._graphs: Dict[str, Graph] = {}
         self._programmed: set = set()
@@ -931,10 +920,7 @@ class FleetRuntime:
         return False
 
     def _scale_up(self) -> bool:
-        """Spawn one replica cloned from the pool's first recipe, warm-
-        started from the shared timing store when one is attached."""
-        from repro.perf.simcache import get_cache
-
+        """Spawn one replica cloned from the pool's first recipe."""
         recipe = self.replicas[0]
         new_id = self.autoscaler.next_replica_id(
             r.replica_id for r in self.replicas
@@ -948,13 +934,9 @@ class FleetRuntime:
             num_pipelines=recipe.handle.framework.num_pipelines,
             timing=recipe.handle.timing,
         )
-        warmed = self.autoscaler.warm_start(get_cache())
         self.replicas.append(replica)
-        self.autoscaler.note_spawned(new_id, self.clock.now, warmed)
-        self._wal_replica(
-            replica,
-            f"autoscaler scale-up (warmed {warmed} cache entries)",
-        )
+        self.autoscaler.note_spawned(new_id, self.clock.now)
+        self._wal_replica(replica, "autoscaler scale-up")
         return True
 
     def _scale_down(self, serving: List[Replica]) -> bool:
@@ -981,42 +963,6 @@ class FleetRuntime:
         else:
             self._wal_replica(victim, "autoscaler scale-down; draining")
         return True
-
-    # -- prewarm ---------------------------------------------------------
-    def prewarm(self, jobs: Sequence[Job], perf) -> int:
-        """Warm the preprocess and timing caches for a job stream.
-
-        The event loop itself is serial by construction (one virtual
-        clock, one event order), so parallelism comes from hoisting the
-        expensive *pure* work out of it: each distinct (device config,
-        graph) spec is preprocessed — and its partitions timed once —
-        on a worker process.  The artefacts seed the placement engine
-        and the global simulation cache; both are pure functions of the
-        spec, so the warmed run's :class:`FleetReport` digest is
-        bit-identical to a cold serial run's.
-
-        ``perf`` is a :class:`~repro.perf.config.PerfConfig`; returns
-        the number of specs warmed.
-        """
-        from repro.perf.parallel import parallel_map
-        from repro.perf.prewarm import distinct_specs, prewarm_spec
-        from repro.perf.simcache import get_cache
-
-        specs = distinct_specs(self.replicas, jobs, perf.cache_entries)
-        results = parallel_map(
-            prewarm_spec, list(specs.values()),
-            workers=perf.workers, perf=perf,
-        )
-        cache = get_cache()
-        warmed = 0
-        for item in results:
-            if item is None:
-                continue
-            key, pre, entries = item
-            self.placement.seed(key, pre)
-            cache.merge(entries)
-            warmed += 1
-        return warmed
 
     # -- the event loop --------------------------------------------------
     def run(

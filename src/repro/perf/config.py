@@ -1,19 +1,20 @@
 """The performance-knob record every accelerated entry point accepts.
 
 One frozen :class:`PerfConfig` travels from the CLI (``--jobs``,
-``--no-sim-cache``, ``--cache-entries``) into
+``--no-sim-cache``, ``--cache-entries``, ``--no-compiled``) into
 :func:`repro.chaos.campaign.run_campaign`,
-:func:`repro.chaos.fleet_soak.run_fleet_soak`,
 :func:`repro.model.sweep.sweep_parameter` and
-:func:`repro.runtime.host.init_accelerator`, so parallelism and caching
-are configured the same way everywhere.  The default is the safe
-identity: one worker (fully serial) with the cache on.
+:func:`repro.runtime.host.init_accelerator`, which may fan work out
+over ``workers`` processes, and into
+:func:`repro.chaos.fleet_soak.run_fleet_soak`, whose serial event loop
+takes only the cache and compiled-core settings.  The cache itself is
+one in-process LRU per process.  The default is the safe identity: one
+worker (fully serial) with the cache on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import UserInputError
 from repro.perf.simcache import DEFAULT_CACHE_ENTRIES, configure_cache
@@ -34,10 +35,6 @@ class PerfConfig:
     #: core (bit-identical to the interpreted path; ``--no-compiled``
     #: is the escape hatch back to the reference oracle).
     compiled: bool = True
-    #: Directory of the shared tier-2 timing store
-    #: (:class:`~repro.perf.sharedcache.SharedTimingStore`); ``None``
-    #: keeps the cache single-tier and in-process.
-    shared_cache_dir: Optional[str] = None
 
     def __post_init__(self):
         if self.workers < 1:
@@ -63,7 +60,6 @@ class PerfConfig:
         configure_cache(
             enabled=self.cache_enabled,
             max_entries=self.cache_entries,
-            shared_dir=self.shared_cache_dir,
         )
         configure_compiled(self.compiled)
 
@@ -73,12 +69,10 @@ class PerfConfig:
             "cache_enabled": self.cache_enabled,
             "cache_entries": self.cache_entries,
             "compiled": self.compiled,
-            "shared_cache_dir": self.shared_cache_dir,
         }
 
     @staticmethod
     def from_dict(data: dict) -> "PerfConfig":
-        shared = data.get("shared_cache_dir")
         return PerfConfig(
             workers=int(data.get("workers", 1)),
             cache_enabled=bool(data.get("cache_enabled", True)),
@@ -86,5 +80,4 @@ class PerfConfig:
                 data.get("cache_entries", DEFAULT_CACHE_ENTRIES)
             ),
             compiled=bool(data.get("compiled", True)),
-            shared_cache_dir=str(shared) if shared is not None else None,
         )

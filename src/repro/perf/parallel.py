@@ -35,7 +35,7 @@ def _apply_perf_in_worker(perf_dict: dict) -> None:
 
     Without this, workers run on whatever process-global cache/compiled
     state they inherited (fork) or the defaults (spawn) — so
-    ``--no-sim-cache``/``--cache-entries``/``--shared-cache`` silently
+    ``--no-sim-cache``/``--cache-entries``/``--no-compiled`` silently
     stopped applying inside pools.  The config travels as its
     ``to_dict()`` payload (plain primitives, picklable everywhere).
     """

@@ -29,22 +29,15 @@ with clean runs.
 
 The process-global instance (:func:`get_cache`) is what the pipeline
 simulators consult; :func:`configure_cache` (usually via
-:meth:`repro.perf.config.PerfConfig.apply`) bounds or disables it.
-Persistence uses the same crash-safe pattern as
-:class:`~repro.faults.resilience.CheckpointStore`: stage to a
-per-process temporary name (pid + random suffix, so concurrent workers
-can never race on one ``os.replace`` target), fsync, rename.
+:meth:`repro.perf.config.PerfConfig.apply`) bounds or disables it.  It
+lives in one process only: nothing is persisted or shared.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import uuid
 from collections import OrderedDict
-from pathlib import Path
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -53,9 +46,6 @@ from repro.errors import UserInputError
 
 #: Default LRU bound; at ~100 B per entry this is a few hundred KB.
 DEFAULT_CACHE_ENTRIES = 4096
-
-#: Format tag of the persisted cache file.
-CACHE_SCHEMA = "regraph-simcache/v1"
 
 
 def config_digest_prefix(kind: str, config, params) -> bytes:
@@ -67,17 +57,6 @@ def config_digest_prefix(kind: str, config, params) -> bytes:
     every key derived from it.
     """
     return repr((kind, config, params)).encode()
-
-
-def config_digest(prefix: bytes) -> str:
-    """SHA-256 hexdigest of a :func:`config_digest_prefix`.
-
-    This is the tag a two-tier cache stores alongside each persisted
-    entry: a shared-store entry whose recorded digest differs from the
-    requester's is *stale* (written by an incompatible configuration or
-    software revision) and is quarantined instead of served.
-    """
-    return hashlib.sha256(prefix).hexdigest()
 
 
 def timing_key(
@@ -105,21 +84,12 @@ def timing_key(
 
 
 class SimulationCache:
-    """Bounded LRU of ``key -> PartitionTiming`` with usage counters.
-
-    Optionally **two-tier**: attach a
-    :class:`~repro.perf.sharedcache.SharedTimingStore` (tier 2, shared
-    on disk across processes) and L1 misses read through to it while L1
-    inserts write through.  Tier-2 hits are promoted into L1 and
-    counted separately; a damaged or stale tier-2 entry is quarantined
-    by the store and reads as a plain miss here.
-    """
+    """Bounded LRU of ``key -> PartitionTiming`` with usage counters."""
 
     def __init__(
         self,
         max_entries: int = DEFAULT_CACHE_ENTRIES,
         enabled: bool = True,
-        shared=None,
     ):
         if max_entries < 1:
             raise UserInputError(
@@ -127,30 +97,18 @@ class SimulationCache:
             )
         self.max_entries = int(max_entries)
         self.enabled = bool(enabled)
-        #: Tier-2 :class:`~repro.perf.sharedcache.SharedTimingStore`
-        #: (``None`` = single-tier, the default).
-        self.shared = shared
         self._entries: "OrderedDict[str, PartitionTiming]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.bypasses = 0
-        self.tier2_hits = 0
-        self.tier2_misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
     # -- core ----------------------------------------------------------
-    def get(
-        self, key: str, config_digest: Optional[str] = None
-    ) -> Optional[PartitionTiming]:
-        """Cached timing for ``key``, or ``None`` (counted as a miss).
-
-        ``config_digest`` is forwarded to the tier-2 staleness check
-        when a shared store is attached (an entry persisted under a
-        different configuration digest is quarantined, never served).
-        """
+    def get(self, key: str) -> Optional[PartitionTiming]:
+        """Cached timing for ``key``, or ``None`` (counted as a miss)."""
         if not self.enabled:
             return None
         timing = self._entries.get(key)
@@ -158,40 +116,18 @@ class SimulationCache:
             self._entries.move_to_end(key)
             self.hits += 1
             return timing
-        if self.shared is not None:
-            timing = self.shared.get(key, config_digest)
-            if timing is not None:
-                self.tier2_hits += 1
-                self._insert(key, timing)
-                return timing
-            self.tier2_misses += 1
         self.misses += 1
         return None
 
-    def _insert(self, key: str, timing: PartitionTiming) -> None:
+    def put(self, key: str, timing: PartitionTiming) -> None:
+        """Insert/refresh an entry, evicting least-recently-used ones."""
+        if not self.enabled:
+            return
         self._entries[key] = timing
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.evictions += 1
-
-    def put(
-        self,
-        key: str,
-        timing: PartitionTiming,
-        config_digest: str = "",
-    ) -> None:
-        """Insert/refresh an entry, evicting least-recently-used ones.
-
-        With a shared store attached the entry is also written through
-        (crash-safe, first-write-wins), tagged with ``config_digest``
-        for the staleness rule.
-        """
-        if not self.enabled:
-            return
-        self._insert(key, timing)
-        if self.shared is not None:
-            self.shared.put(key, timing, config_digest)
 
     def contains(self, key: str) -> bool:
         """Presence probe that counts as neither hit nor miss.
@@ -207,49 +143,23 @@ class SimulationCache:
         self.bypasses += 1
 
     def clear(self) -> None:
-        """Drop all L1 entries and reset every counter.
-
-        The shared tier (if attached) keeps its files — it is durable
-        state owned by every process sharing it, not this one.
-        """
+        """Drop all entries and reset every counter."""
         self._entries.clear()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.bypasses = 0
-        self.tier2_hits = 0
-        self.tier2_misses = 0
-
-    # -- bulk transfer (worker -> parent merges) -----------------------
-    def entries(self) -> Dict[str, PartitionTiming]:
-        """Snapshot of the current entries (LRU order preserved)."""
-        return dict(self._entries)
-
-    def merge(self, entries: Mapping[str, PartitionTiming]) -> int:
-        """Adopt entries produced elsewhere (e.g. by a prewarm worker).
-
-        Existing keys win — both sides computed the same pure function,
-        so the values are interchangeable.  Returns entries adopted.
-        """
-        if not self.enabled:
-            return 0
-        adopted = 0
-        for key, timing in entries.items():
-            if key not in self._entries:
-                self.put(key, timing)
-                adopted += 1
-        return adopted
 
     # -- reporting -----------------------------------------------------
     @property
     def hit_rate(self) -> float:
-        """Hits (either tier) over lookups (0.0 before any lookup)."""
-        lookups = self.hits + self.tier2_hits + self.misses
-        return (self.hits + self.tier2_hits) / lookups if lookups else 0.0
+        """Hits over lookups (0.0 before any lookup)."""
+        lookups = self.hits + self.misses
+        return self.hits / lookups if lookups else 0.0
 
     def stats(self) -> dict:
         """Counter snapshot for CLI/report surfaces."""
-        stats = {
+        return {
             "enabled": self.enabled,
             "entries": len(self._entries),
             "max_entries": self.max_entries,
@@ -258,78 +168,7 @@ class SimulationCache:
             "hit_rate": self.hit_rate,
             "evictions": self.evictions,
             "bypasses": self.bypasses,
-            "tier2_hits": self.tier2_hits,
-            "tier2_misses": self.tier2_misses,
         }
-        if self.shared is not None:
-            stats["shared"] = self.shared.stats()
-        return stats
-
-    # -- persistence ---------------------------------------------------
-    def save(self, path: Union[str, Path]) -> Path:
-        """Persist the entries crash-safely (atomic rename).
-
-        The staging name carries the pid *and* a random suffix so any
-        number of concurrent workers can save toward the same final
-        path without racing on one temporary file.
-        """
-        final = Path(path)
-        tmp = final.with_name(
-            final.name + f".tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}"
-        )
-        payload = {
-            "schema": CACHE_SCHEMA,
-            "entries": {
-                key: [
-                    timing.compute_cycles,
-                    timing.store_cycles,
-                    timing.switch_cycles,
-                    timing.num_edges,
-                    timing.num_sets,
-                ]
-                for key, timing in self._entries.items()
-            },
-        }
-        try:
-            with open(tmp, "w") as fh:
-                json.dump(payload, fh)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, final)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
-        return final
-
-    def load(self, path: Union[str, Path], strict: bool = True) -> int:
-        """Merge a persisted cache back in; returns entries adopted.
-
-        With ``strict=False`` a missing, torn or mismatched file adopts
-        nothing instead of raising (the load-if-present pattern).
-        """
-        try:
-            with open(Path(path)) as fh:
-                payload = json.load(fh)
-            if payload.get("schema") != CACHE_SCHEMA:
-                raise UserInputError(
-                    f"{path}: not a {CACHE_SCHEMA} file "
-                    f"(schema {payload.get('schema')!r})"
-                )
-            entries = {
-                key: PartitionTiming(
-                    compute_cycles=float(fields[0]),
-                    store_cycles=float(fields[1]),
-                    switch_cycles=float(fields[2]),
-                    num_edges=int(fields[3]),
-                    num_sets=int(fields[4]),
-                )
-                for key, fields in payload["entries"].items()
-            }
-        except (OSError, ValueError, KeyError, IndexError, TypeError):
-            if strict:
-                raise
-            return 0
-        return self.merge(entries)
 
 
 #: Process-global instance the pipeline simulators consult.  Worker
@@ -343,36 +182,19 @@ def get_cache() -> SimulationCache:
     return _GLOBAL
 
 
-#: Sentinel: "leave the shared tier as it is" (``None`` means detach).
-_KEEP_SHARED = object()
-
-
 def configure_cache(
     enabled: Optional[bool] = None,
     max_entries: Optional[int] = None,
-    shared_dir=_KEEP_SHARED,
 ) -> SimulationCache:
     """Reconfigure the global cache in place; returns it.
 
     Shrinking ``max_entries`` evicts down to the new bound immediately.
-    ``shared_dir`` attaches (a path) or detaches (``None``) the tier-2
-    :class:`~repro.perf.sharedcache.SharedTimingStore`; omit it to
-    leave the current attachment untouched.
     """
     cache = _GLOBAL
     if enabled is not None:
         cache.enabled = bool(enabled)
         if not cache.enabled:
             cache._entries.clear()
-    if shared_dir is not _KEEP_SHARED:
-        if shared_dir is None:
-            cache.shared = None
-        else:
-            from repro.perf.sharedcache import SharedTimingStore
-
-            current = cache.shared
-            if current is None or str(current.root) != str(shared_dir):
-                cache.shared = SharedTimingStore(shared_dir)
     if max_entries is not None:
         if max_entries < 1:
             raise UserInputError(

@@ -187,6 +187,69 @@ class TestFleetCli:
         out = capsys.readouterr().out
         assert "jobs completed" in out
 
+    def test_report_from_older_build_still_prints(self, tmp_path, capsys):
+        """Reports saved before placement and the sim cache were cut to
+        one path each carry side-channel keys nothing writes any more;
+        status and report must print them without a KeyError."""
+        import json
+
+        path = tmp_path / "legacy.json"
+        assert main(self.RUN + ["--report-json", str(path)]) == 0
+        capsys.readouterr()
+        data = json.loads(path.read_text())
+        # The perf and autoscale blocks exactly as older builds wrote
+        # them (fleet run --jobs 2 --shared-cache DIR --autoscale).
+        data["perf"] = {
+            "workers": 2,
+            "prewarmed_specs": 40,
+            "placement": {
+                "probes": 92,
+                "evaluator_builds": 40,
+                "incremental_refreshes": 0,
+                "full_evaluations": 0,
+                "nodes_reevaluated": 139,
+            },
+            "enabled": True,
+            "entries": 189,
+            "max_entries": 4096,
+            "hits": 117,
+            "misses": 0,
+            "hit_rate": 1.0,
+            "evictions": 0,
+            "bypasses": 233,
+            "tier2_hits": 0,
+            "tier2_misses": 0,
+            "shared": {
+                "root": "/var/tmp/shared-cache",
+                "entries": 189,
+                "loads": 0,
+                "load_misses": 0,
+                "writes": 48,
+                "write_conflicts": 141,
+                "quarantined": 0,
+                "stale": 0,
+            },
+        }
+        data["autoscale"] = {
+            "spawned": 1,
+            "retired": 0,
+            "warmed_entries": 12,
+            "p99_latency_seconds": 0.0009,
+            "decisions": [{
+                "action": "scale-up", "replica_id": "as1", "time": 0.01,
+                "warmed_entries": 12,
+            }],
+        }
+        path.write_text(json.dumps(data))
+
+        for command in ("status", "report"):
+            assert main(["fleet", command, str(path)]) == 0
+            out = capsys.readouterr().out
+            assert "sim cache 117 hits / 0 misses" in out
+            assert "placement probes: 92" in out
+            assert "autoscaler: 1 spawned / 0 retired" in out
+            assert "scale-up: as1" in out
+
     def test_unknown_device_lists_valid_names(self, capsys):
         """The satellite contract: an unknown device surfaces the
         host API's typed error naming every valid device, exit 2."""

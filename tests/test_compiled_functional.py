@@ -7,8 +7,7 @@ Every RunReport digest and every final property array must match the
 per-task interpreted walk exactly, across both devices, all five apps
 and all graph families; synthesized traces must carry events equal to
 the interpreted re-simulation and pass the conformance invariants
-verbatim; placement what-if probes must decide exactly as the full
-evaluation oracle does.
+verbatim.
 
 Tier-1 keeps a representative slice; the ``slow`` marker carries the
 full device × app × family sweep plus hypothesis properties.
@@ -226,82 +225,6 @@ class TestTraceSynthesis:
         stats = compiled_stats()
         assert stats["traces_synthesized"] == 0
         assert stats["traces_interpreted"] == 1
-
-
-class TestPlacementProbes:
-    def test_incremental_decisions_match_full_oracle_on_soak(self):
-        from repro.chaos.fleet_soak import FleetSoakConfig, run_fleet_soak
-        from repro.fleet.runtime import FleetPolicy
-        from repro.perf import PerfConfig
-
-        config = FleetSoakConfig(seed=7, jobs=6)
-        results = {}
-        for mode in ("incremental", "full"):
-            results[mode] = run_fleet_soak(
-                config,
-                policy=FleetPolicy(placement_probe_mode=mode),
-                perf=PerfConfig(workers=1),
-            )
-        incremental, full = results["incremental"], results["full"]
-        assert incremental.report.assignment_log() == (
-            full.report.assignment_log()
-        )
-        assert incremental.report.digest() == full.report.digest()
-        probes = incremental.perf["placement"]
-        assert probes["probes"] > 0
-        assert probes["evaluator_builds"] > 0
-        assert probes["full_evaluations"] == 0
-        assert full.perf["placement"]["full_evaluations"] > 0
-
-    def test_param_change_dirties_incrementally_and_agrees_with_full(self):
-        from repro.fleet.job import Job
-        from repro.fleet.placement import PlacementEngine
-        from repro.fleet.replica import make_replica
-        from repro.chaos.spec import GraphSpec
-        from repro.hbm.channel import HbmTimingParams
-
-        job = Job(
-            job_id="j0", app="pagerank",
-            graph=GraphSpec(
-                kind="rmat", vertices=256, edges=2048, seed=3
-            ),
-            max_iterations=10,
-        )
-        graph = job.graph.build()
-        slow_params = HbmTimingParams(min_latency=48.0, max_latency=112.0)
-        replicas = []
-        for rid, params in (("r0", None), ("r1", slow_params)):
-            replica = make_replica(rid, "U280")
-            if params is not None:
-                replica.handle.framework.channel = HbmChannelModel(params)
-            replicas.append(replica)
-
-        engines = {
-            mode: PlacementEngine(probe_mode=mode)
-            for mode in ("incremental", "full")
-        }
-        for replica in replicas:
-            predictions = {
-                mode: engine.predicted_seconds(replica, job, graph)
-                for mode, engine in engines.items()
-            }
-            assert predictions["incremental"] == predictions["full"]
-            assert predictions["incremental"] > 0
-        stats = engines["incremental"].probe_stats
-        # One kept evaluator; probing the slow replica dirtied only the
-        # non-empty nodes instead of building or cold-evaluating again.
-        assert stats["evaluator_builds"] == 1
-        assert stats["incremental_refreshes"] == 1
-
-    def test_probe_mode_validated(self):
-        from repro.errors import UserInputError
-        from repro.fleet.placement import PlacementEngine
-        from repro.fleet.runtime import FleetPolicy
-
-        with pytest.raises(UserInputError):
-            PlacementEngine(probe_mode="bogus")
-        with pytest.raises(UserInputError):
-            FleetPolicy(placement_probe_mode="bogus")
 
 
 # ---------------------------------------------------------------------------

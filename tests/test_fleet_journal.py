@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.errors import UserInputError
-from repro.faults.plan import STORAGE_FAULT_KINDS, StorageFault
+from repro.faults.plan import STORAGE_FAULT_KINDS, FaultPlan, StorageFault
 from repro.fleet.journal import (
     JOURNAL_SCHEMA,
     QUARANTINE_SCHEMA,
@@ -221,6 +221,16 @@ class TestStorageFaults:
     def test_invalid_target_rejected_at_construction(self):
         with pytest.raises(ValueError, match="target"):
             StorageFault(kind="bit-flip", target="ramdisk")
+
+    def test_retired_timing_cache_target_rejected(self):
+        # The on-disk timing cache is gone, and with it this target.
+        with pytest.raises(ValueError, match="target"):
+            StorageFault(kind="bit-flip", target="shared-cache")
+        with pytest.raises(ValueError, match="target"):
+            FaultPlan.from_dict({
+                "seed": 0,
+                "storage": [{"kind": "torn-write", "target": "shared-cache"}],
+            })
 
 
 class TestProjection:

@@ -7,6 +7,9 @@ survivor or terminated with a typed error — zero jobs lost — and the
 whole outcome bit-reproducible from the seed**.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.chaos.fleet_soak import (
@@ -202,3 +205,38 @@ class TestJournaledSoak:
         # In-memory soaks serialize without the key at all, keeping
         # pre-durability result files byte-identical.
         assert "recovery" not in soak_result.to_dict()
+
+
+def _assignment_log_digest(report) -> str:
+    payload = json.dumps(
+        [list(entry) for entry in report.assignment_log()], sort_keys=True
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+class TestPlacementFingerprint:
+    """Pinned outcomes of two soaks, recorded when placement still
+    probed replicas with a kept incremental evaluator.  Placement now
+    ranks on the Eq. 1-4 estimate alone; every assignment and every
+    reported byte must be unchanged."""
+
+    @pytest.mark.parametrize(
+        "seed, jobs, report_digest, log_digest",
+        [
+            (
+                7, 6,
+                "72d7095a807c3063c3341b7822be72f742cb5a167024b13334eeb0d82672ee61",
+                "016ca72daff02cbf3b29748cb14d8e8fcfaa493ea0bc4659d76d31356c4383de",
+            ),
+            (
+                2022, 200,
+                "01338d026cb1a047b5a87c517c74c6fbf2925bdd37ad8cdc73f4524e456a1e01",
+                "4a167dba51701f9e9ec8545494106e67db66b2e92ded157ae355f9b9244ab345",
+            ),
+        ],
+        ids=["seed7-jobs6", "seed2022-jobs200"],
+    )
+    def test_digests_pinned(self, seed, jobs, report_digest, log_digest):
+        result = run_fleet_soak(FleetSoakConfig(seed=seed, jobs=jobs))
+        assert _assignment_log_digest(result.report) == log_digest
+        assert result.report.digest() == report_digest

@@ -128,8 +128,7 @@ class TestParallelEquivalence:
         parallel = run_fleet_soak(config, perf=PerfConfig(workers=WORKERS))
         assert parallel.report.digest() == serial.report.digest()
         # The perf stats ride beside the report, never inside it.
-        assert parallel.perf["workers"] == WORKERS
-        assert parallel.perf["prewarmed_specs"] >= 0
+        assert parallel.perf["placement"]["probes"] > 0
         assert "perf" not in parallel.report.to_dict()
 
     def test_fleet_soak_json_roundtrip_keeps_perf(self):

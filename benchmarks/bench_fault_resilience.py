@@ -1,7 +1,7 @@
 """Fault-resilience benchmark: throughput degradation vs injected faults.
 
 Sweeps PageRank on one skewed bench graph across escalating fault
-scenarios — clean, bit-flip rates, a latency-spike burst, and a dead
+scenarios — clean, a bit-flip rate, a latency-spike burst, and a dead
 channel forcing degradation — and reports the effective MTEPS (useful
 edges over *total* simulated cycles, overhead included) plus what the
 resilient layer absorbed.  The clean scenario doubles as the
@@ -39,9 +39,6 @@ BENCH_RESILIENCE_JSON = (
 #: (label, FaultPlan) scenarios, mildest first.
 SCENARIOS = (
     ("clean", FaultPlan()),
-    ("flips 0.5%", FaultPlan(
-        seed=11, bit_flips=(BitFlipFault(probability=0.005),),
-    )),
     ("flips 2%", FaultPlan(
         seed=11, bit_flips=(BitFlipFault(probability=0.02),),
     )),
@@ -101,9 +98,13 @@ def test_fault_resilience_overhead(benchmark, datasets):
     # Every scenario still converges to the same fixed point.
     for label, run in results.items():
         assert run.converged, label
-    # Throughput degrades monotonically with fault pressure within the
-    # bit-flip family, and every faulted scenario pays some overhead.
-    assert results["flips 2%"].mteps <= results["flips 0.5%"].mteps
+    # Every faulted scenario injects something and pays for it: a
+    # bit-flip rate that draws no flip would measure the clean run.
+    for label, plan in SCENARIOS:
+        if plan.bit_flips:
+            assert results[label].health.fault_count >= 1, label
+            assert results[label].mteps < clean.mteps, label
+    assert results["spike 16x"].total_cycles > clean.total_cycles
     assert results["dead channel"].health.replans >= 1
 
     # The versioned machine-readable record (regraph-bench-resilience/v1).

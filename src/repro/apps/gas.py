@@ -3,14 +3,21 @@
 An application defines three UDFs over 32-bit vertex properties:
 
 * ``scatter(src_prop, edge_prop)`` — the update value an edge carries;
-* ``gather(buffered, value)`` — an associative, commutative combiner the
-  Gather PEs fold at II = 1;
+* ``gather(buffered, value)`` — the combiner the Gather PEs fold at
+  II = 1, given once as the NumPy ufunc ``gather_ufunc``;
 * ``apply(old_prop, accumulated)`` — the per-vertex property update run
   by the Apply module between iterations.
 
 Implementations are NumPy-vectorised: UDFs receive arrays and return
 arrays, which is how the simulator executes millions of edges while still
 running the *user's* logic on every edge.
+
+``gather_ufunc`` must be associative and commutative, and exact on
+``prop_dtype`` (wrapping integer ``+``, ``min``, ``max``, ``|`` — not
+floating-point ``+``).  Then every fold order over a destination's
+updates gives the same bits, which is what lets the compiled functional
+pass (:mod:`repro.compiled.functional`) replace the Gather PE banks and
+the Merger with one segment reduction per iteration.
 """
 
 from __future__ import annotations
@@ -28,6 +35,10 @@ class GasApp(ABC):
 
     #: dtype of the vertex property word (int64 raw for fixed point).
     prop_dtype: np.dtype = np.int64
+
+    #: the gather combiner: an associative, commutative ufunc that is
+    #: exact on ``prop_dtype`` (see the module docstring).
+    gather_ufunc: np.ufunc = np.add
 
     #: identity element of the gather combiner (0 for +, INF for min).
     gather_identity = 0
@@ -48,18 +59,18 @@ class GasApp(ABC):
     def scatter(self, src_props: np.ndarray, weights: Optional[np.ndarray]):
         """accScatter: update value per edge (vectorised)."""
 
-    @abstractmethod
     def gather(self, buffered: np.ndarray, values: np.ndarray):
         """accGather: combine two accumulation arrays (vectorised)."""
+        return self.gather_ufunc(buffered, values)
 
-    @abstractmethod
     def gather_at(self, buffer: np.ndarray, idx: np.ndarray, values: np.ndarray):
         """In-place indexed gather: fold ``values`` into ``buffer[idx]``.
 
-        Must be the unbuffered ``ufunc.at`` form so repeated destinations
+        The unbuffered ``ufunc.at`` form, so repeated destinations
         combine correctly, exactly like the hardware's read-modify-write
         with shift-register hazard resolution (Sec. V-C).
         """
+        self.gather_ufunc.at(buffer, idx, values)
 
     @abstractmethod
     def apply(self, old_props: np.ndarray, accumulated: np.ndarray):

@@ -85,23 +85,32 @@ class PingPongBufferSim:
         last_of_set = np.minimum(
             np.arange(1, num_sets + 1) * k - 1, src.size - 1
         )
-        blocks = src // self.config.vertices_per_block
-        base = blocks[0]
-        rel = blocks - base
-        span = int(rel[-1] + 1)
-
+        vpb = self.config.vertices_per_block
+        base = src[0] // vpb
         seg_blocks = self.config.pingpong_blocks_per_side
-        segments = rel // seg_blocks
+        # ``src`` ascends, so the per-set relative blocks and segments do
+        # too: the segments needed are the starts of runs of equal
+        # segments, and only each set's last edge needs a fill position.
+        rel = src[last_of_set] // vpb - base
+        span = int(rel[-1] + 1)
+        set_segments = rel // seg_blocks
         if self.config.jump_access:
-            needed_segments = np.unique(segments)
+            segments = src // vpb
+            segments -= base
+            segments //= seg_blocks
+            flag = np.empty(segments.size, dtype=bool)
+            flag[0] = True
+            np.not_equal(segments[1:], segments[:-1], out=flag[1:])
+            needed_segments = segments[flag]
         else:
-            needed_segments = np.arange(segments[-1] + 1)
+            needed_segments = np.arange(set_segments[-1] + 1)
 
         # fill_pos[block] = cycle (from burst start) its fill completes:
         # whole needed segments stream back-to-back at 1 block/cycle.
-        seg_rank = np.searchsorted(needed_segments, segments)
-        fill_pos = seg_rank * seg_blocks + (rel - segments * seg_blocks) + 1.0
-        fill_at_set = fill_pos[last_of_set]
+        seg_rank = np.searchsorted(needed_segments, set_segments)
+        fill_at_set = (
+            seg_rank * seg_blocks + (rel - set_segments * seg_blocks) + 1.0
+        )
 
         fetched = int(needed_segments.size) * seg_blocks
         # The final segment is only streamed up to the last needed block.

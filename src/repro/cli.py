@@ -140,7 +140,7 @@ def _print_cache_stats() -> None:
     if routed:
         print(f"compiled routing: "
               f"{cstats['functional_iterations']} functional iterations "
-              f"compiled ({cstats['functional_batches']} batches) / "
+              "compiled / "
               f"{cstats['functional_fallbacks']} interpreted, "
               f"{cstats['traces_synthesized']} traces synthesized / "
               f"{cstats['traces_interpreted']} interpreted")

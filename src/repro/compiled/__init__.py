@@ -13,8 +13,8 @@ populate the same content-addressed
 :class:`~repro.perf.simcache.SimulationCache` entries.
 
 The same split covers the functional pass
-(:mod:`repro.compiled.functional`: per-plan gather/scatter structure,
-batched UDF evaluation over whole partition groups) and trace
+(:mod:`repro.compiled.functional`: one destination-grouped edge layout
+per plan, one segment reduction per iteration) and trace
 generation (:mod:`repro.compiled.trace`: ExecutionTrace events
 synthesized from compiled node timings instead of a re-simulation).
 

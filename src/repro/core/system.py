@@ -227,8 +227,8 @@ class SystemSimulator:
         """Run every task's UDFs and merge accumulations globally.
 
         Fault-free passes route through the compiled functional engine
-        when it is enabled — batched UDF calls over the plan's lowered
-        gather/scatter structure, bit-identical to the interpreted walk
+        when it is enabled — one segment reduction over the plan's
+        destination-grouped edges, bit-identical to the interpreted walk
         (``tests/test_compiled_functional.py`` is the contract).
         Passes with an *active* functional fault (an open bit-flip
         window) always take the interpreted walk, whose per-buffer
@@ -253,11 +253,11 @@ class SystemSimulator:
     def _compiled_functional(self, app, props: np.ndarray) -> np.ndarray:
         """One functional pass through the compiled engine.
 
-        The engine lowers the plan's gather/scatter structure on first
-        use (attached to the plan object, shared across simulators and
-        iterations) and evaluates the whole iteration with batched
-        scatter/gather_at calls.  The injector bookkeeping mirrors the
-        interpreted walk's net effect: ``pass_kind`` flips to
+        The engine lowers the plan's destination-grouped edge layout on
+        first use (attached to the plan object, shared across simulators
+        and iterations) and evaluates the whole iteration with one
+        scatter and one segment reduction.  The injector bookkeeping
+        mirrors the interpreted walk's net effect: ``pass_kind`` flips to
         "functional" and the pipeline context ends cleared.
         """
         from repro.compiled.functional import functional_engine

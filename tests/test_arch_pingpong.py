@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch.config import PipelineConfig
-from repro.arch.pingpong import PingPongBufferSim
+from repro.arch.pingpong import PingPongBufferSim, PingPongStats
 
 
 @pytest.fixture()
@@ -100,3 +102,63 @@ class TestReadyTimes:
         src = np.arange(100, dtype=np.int64) + 1_000_000
         _, stats = pingpong.access_ready_times(src)
         assert stats.span_blocks <= 8
+
+
+def reference_access_structure(config: PipelineConfig, src: np.ndarray):
+    """Per-edge formulation of ``access_structure``: a fill position for
+    every edge from ``np.unique`` over all edge segments, then each
+    set's last edge picked out.  The oracle for the set-granular code."""
+    if src.size == 0:
+        return np.zeros(0), PingPongStats(0, 0, 0, 0, 0)
+    k = config.edges_per_set
+    src = np.asarray(src, dtype=np.int64)
+    num_sets = -(-src.size // k)
+    last_of_set = np.minimum(
+        np.arange(1, num_sets + 1) * k - 1, src.size - 1
+    )
+    blocks = src // config.vertices_per_block
+    rel = blocks - blocks[0]
+    span = int(rel[-1] + 1)
+    seg_blocks = config.pingpong_blocks_per_side
+    segments = rel // seg_blocks
+    if config.jump_access:
+        needed_segments = np.unique(segments)
+    else:
+        needed_segments = np.arange(segments[-1] + 1)
+    seg_rank = np.searchsorted(needed_segments, segments)
+    fill_pos = seg_rank * seg_blocks + (rel - segments * seg_blocks) + 1.0
+    fetched = int(needed_segments.size) * seg_blocks
+    fetched -= seg_blocks - (int(rel[-1]) % seg_blocks + 1)
+    fetched = min(fetched, span)
+    stats = PingPongStats(
+        num_edges=int(src.size),
+        num_sets=num_sets,
+        blocks_fetched=fetched,
+        blocks_skipped=max(span - fetched, 0),
+        span_blocks=span,
+    )
+    return fill_pos[last_of_set], stats
+
+
+class TestSetGranularStructure:
+    @pytest.mark.parametrize("jump_access", (True, False))
+    @given(
+        src=st.lists(
+            st.integers(0, 300_000), min_size=0, max_size=300
+        ).map(sorted),
+        offset=st.integers(0, 1 << 24),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_edge_formulation(
+        self, config, channel, jump_access, src, offset
+    ):
+        cfg = PipelineConfig(
+            gather_buffer_vertices=config.gather_buffer_vertices,
+            jump_access=jump_access,
+        )
+        src = np.asarray(src, dtype=np.int64) + offset
+        fill, stats = PingPongBufferSim(cfg, channel).access_structure(src)
+        want_fill, want_stats = reference_access_structure(cfg, src)
+        assert fill.dtype == want_fill.dtype
+        np.testing.assert_array_equal(fill, want_fill)
+        assert stats == want_stats

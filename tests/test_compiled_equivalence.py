@@ -3,8 +3,8 @@
 The compiled simulation core's contract is *bit-identity*, not
 approximate agreement: every ``PartitionTiming``, every per-iteration
 cycle list and every ``RunReport`` digest must match the interpreted
-reference path exactly, across both devices, all five apps, all graph
-families, with and without fault plans attached.  Anything weaker would
+reference path exactly, across both devices, every registered app, all
+graph families, with and without fault plans attached.  Anything weaker would
 let the compiled path drift away from the oracle that every other
 subsystem (conformance, chaos, fleet) is validated against.
 
@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.apps.registry import available_apps, get_app_spec
 from repro.compiled import (
     CompiledEngine,
     compile_plan,
@@ -42,7 +43,7 @@ from repro.perf.simcache import DEFAULT_CACHE_ENTRIES
 from tests.helpers import make_framework
 from tests.strategies import channel_param_perturbations, scheduling_plans
 
-ALL_APPS = ("pagerank", "bfs", "closeness", "sssp", "wcc")
+ALL_APPS = tuple(available_apps())
 DEVICES = ("U280", "U50")
 
 
@@ -102,7 +103,10 @@ def dispatch(framework, app: str, graph, **kwargs):
         return framework.run(
             symmetrized(graph), WeaklyConnectedComponents, **kwargs
         )
-    raise ValueError(app)
+    spec = get_app_spec(app)
+    pre = framework.preprocess(graph)
+    root = pre.to_internal_vertex(0) if spec.takes_root else None
+    return framework.run(pre, lambda g: spec.build(g, root=root), **kwargs)
 
 
 def run_report_digest(run) -> str:

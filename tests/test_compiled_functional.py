@@ -1,13 +1,13 @@
 """Differential harness: compiled functional pass + trace synthesis.
 
-The compiled functional engine batches whole partition groups through
-the apps' UDFs; its contract is the same as the compiled timing core's —
-*bit-identity* with the interpreted oracle, not approximate agreement.
-Every RunReport digest and every final property array must match the
-per-task interpreted walk exactly, across both devices, all five apps
-and all graph families; synthesized traces must carry events equal to
-the interpreted re-simulation and pass the conformance invariants
-verbatim.
+The compiled functional engine folds every destination's updates with
+one segment reduction per iteration; its contract is the same as the
+compiled timing core's — *bit-identity* with the interpreted oracle,
+not approximate agreement.  Every RunReport digest and every final
+property array must match the per-task interpreted walk exactly, across
+both devices, every registered app and all graph families; synthesized
+traces must carry events equal to the interpreted re-simulation and
+pass the conformance invariants verbatim.
 
 Tier-1 keeps a representative slice; the ``slow`` marker carries the
 full device × app × family sweep plus hypothesis properties.
@@ -93,7 +93,6 @@ class TestFunctionalEquivalence:
         stats = compiled_stats()
         assert stats["functional_plans"] == 1
         assert stats["functional_iterations"] == run.iterations
-        assert stats["functional_batches"] >= run.iterations
         assert stats["functional_fallbacks"] == 0
         configure_compiled(False)
         framework.run_pagerank(graph, max_iterations=3)
@@ -105,13 +104,10 @@ class TestFunctionalEquivalence:
         engine = functional_engine(pre.plan)
         assert functional_engine(pre.plan) is engine
         fplan = lower_functional_plan(pre.plan)
-        planned_tasks = sum(
-            len(t) for t in pre.plan.little_tasks
-        ) + sum(len(t) for t in pre.plan.big_tasks)
-        assert len(fplan.nodes) == planned_tasks
-        assert sum(n.num_edges for n in fplan.nodes) == (
-            pre.plan.total_edges()
-        )
+        assert fplan.num_edges == pre.plan.total_edges()
+        assert fplan.starts[0] == 0
+        assert np.all(np.diff(fplan.starts) > 0)
+        assert np.all(np.diff(fplan.dst) > 0)
 
 
 class TestFaultFallback:

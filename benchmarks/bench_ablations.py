@@ -63,11 +63,11 @@ def test_ablation_data_routing(benchmark, hd_partitions):
 
     def run():
         grouped = sum(
-            routed.execute(sparse[i : i + config.n_gpe])[0].total_cycles
+            routed.execute(sparse[i : i + config.n_gpe]).total_cycles
             for i in range(0, len(sparse), config.n_gpe)
         )
         separate = sum(
-            unrouted.execute([p])[0].total_cycles for p in sparse
+            unrouted.execute([p]).total_cycles for p in sparse
         )
         return grouped, separate
 

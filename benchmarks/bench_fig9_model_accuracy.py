@@ -49,9 +49,9 @@ def _run_graph(key, setup):
     graph = load_dataset(key, scale=BENCH_SCALE, seed=1)
     rows, err_big, err_little = [], [], []
     for gi, group in enumerate(_groups(graph, setup["config"])):
-        sim_big = setup["big"].execute(group)[0].total_cycles
+        sim_big = setup["big"].execute(group).total_cycles
         sim_little = sum(
-            setup["little"].execute(p)[0].total_cycles for p in group
+            setup["little"].execute(p).total_cycles for p in group
         )
         est_big = setup["model"].estimate_big_group([p.src for p in group])
         est_little = sum(

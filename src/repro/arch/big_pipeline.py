@@ -6,15 +6,15 @@ use the Data Router so one execution processes up to ``N_gpe`` partitions,
 amortising the partition-switch overhead that would otherwise dominate the
 many short sparse tasks.
 
-``execute`` does double duty: it produces the cycle-accurate timing of one
-execution *and* (when an app and property array are supplied) the actual
-gathered results, so functional correctness and performance come from the
-same modelled datapath.
+``execute`` produces the cycle-accurate timing of one execution and
+``functional`` the gathered results of the same merged edge stream, so
+functional correctness and performance come from the same modelled
+datapath.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from repro.arch.timing import PartitionTiming
 from repro.arch.vertex_loader import VertexLoaderSim
 from repro.graph.partition import Partition
 from repro.hbm.channel import HbmChannelModel
-from repro.perf.simcache import config_digest_prefix, get_cache, timing_key
 from repro.utils.prefix import running_release_times
 
 
@@ -134,11 +133,6 @@ class BigPipelineSim:
         self.scatter_pes = ScatterPeArray(config.n_spe)
         #: Fault-injection hook (:mod:`repro.faults`); None = fault-free.
         self.fault_site = None
-        #: Timing-cache key prefix: binds cached results to this exact
-        #: pipeline + channel configuration (both frozen).
-        self._cache_prefix = config_digest_prefix(
-            "big", config, channel.params
-        )
 
     _cumcount_sorted = staticmethod(_cumcount_sorted)
 
@@ -146,18 +140,8 @@ class BigPipelineSim:
         """See :func:`merge_group_edges` (kept as a method for callers)."""
         return merge_group_edges(partitions)
 
-    def execute(
-        self,
-        partitions: List[Partition],
-        app=None,
-        src_props: Optional[np.ndarray] = None,
-    ) -> Tuple[PartitionTiming, Optional[list]]:
-        """Run one execution over up to ``N_gpe`` partitions.
-
-        Returns ``(timing, outputs)`` where ``outputs`` is a list of
-        ``(vertex_lo, vertex_hi, gathered_buffer)`` per partition, or
-        ``None`` when running timing-only.
-        """
+    def _check_group(self, partitions: List[Partition]) -> None:
+        """Reject a group the Data Router cannot take in one execution."""
         if not partitions:
             raise ValueError("execute needs at least one partition")
         if len(partitions) > self.config.n_gpe:
@@ -171,23 +155,47 @@ class BigPipelineSim:
                 "execution"
             )
 
+    def execute(self, partitions: List[Partition]) -> PartitionTiming:
+        """Timing of one execution over up to ``N_gpe`` partitions.
+
+        The fault site's ``on_task`` hook runs first, so dead channels
+        and stalls abort the task before it is timed.
+        """
+        self._check_group(partitions)
         if self.fault_site is not None:
             self.fault_site.on_task("big")
-        src, dst, lanes, weights = self._merge_edges(partitions)
+        src, _dst, lanes, weights = self._merge_edges(partitions)
         edge_bytes = 8 if weights is None else 12
-        timing = self._timing(src, lanes, len(partitions), edge_bytes)
+        return self._compute_timing(src, lanes, len(partitions), edge_bytes)
 
-        outputs = None
-        if app is not None:
-            if src_props is None:
-                raise ValueError("functional execution needs src_props")
-            outputs = self._functional(partitions, src, dst, weights, app, src_props)
+    def functional(
+        self, partitions: List[Partition], app, src_props: np.ndarray
+    ) -> list:
+        """Run one execution's UDFs through the routed Gather PE array.
+
+        Returns ``(vertex_lo, vertex_hi, gathered_buffer)`` per
+        partition.  Bit-flip faults reach each drained buffer through
+        the fault site's ``filter_buffer`` hook.  No timing is computed.
+        """
+        self._check_group(partitions)
+        src, dst, _lanes, weights = self._merge_edges(partitions)
+        gpes = GatherPeArray(
+            self.config.n_gpe,
+            self.config.partition_vertices,
+            routed=True,
+        )
+        gpes.reset(app, [p.vertex_lo for p in partitions])
+        if src.size:
+            updates = self.scatter_pes.process(app, src_props[src], weights)
+            gpes.absorb(app, dst, updates)
+        buffers = gpes.drain()
+        outputs = []
+        for i, p in enumerate(partitions):
+            buffer = buffers[i][: p.num_dst_vertices]
             if self.fault_site is not None:
-                outputs = [
-                    (lo, hi, self.fault_site.filter_buffer(buffer))
-                    for lo, hi, buffer in outputs
-                ]
-        return timing, outputs
+                buffer = self.fault_site.filter_buffer(buffer)
+            outputs.append((p.vertex_lo, p.vertex_hi, buffer))
+        return outputs
 
     #: Router output FIFO depth in edge sets (module constant mirrored
     #: for existing callers/tests).
@@ -222,41 +230,6 @@ class BigPipelineSim:
             busiest = np.maximum(busiest, rate)
         floor = self.config.edges_per_set * self.config.proc_cycles_per_edge
         return np.maximum(busiest, floor)
-
-    def _timing(
-        self,
-        src: np.ndarray,
-        lanes: np.ndarray,
-        num_lanes: int,
-        edge_bytes: int = 8,
-    ) -> PartitionTiming:
-        """Memoized per-execution cycle count.
-
-        The timing is a pure function of the merged edge content, the
-        lane assignment and the frozen pipeline/channel configuration,
-        so results are shared through the in-process content-addressed
-        cache across iterations, retries and sweeps.  Active
-        timing faults make the result injector-state-dependent; those
-        calls bypass the cache entirely (never read, never written),
-        mirroring ``SystemSimulator._timing_pass``.
-        """
-        cache = get_cache()
-        if not cache.enabled:
-            return self._compute_timing(src, lanes, num_lanes, edge_bytes)
-        if (
-            self.fault_site is not None
-            and self.fault_site.timing_faults_active()
-        ):
-            cache.note_bypass()
-            return self._compute_timing(src, lanes, num_lanes, edge_bytes)
-        key = timing_key(
-            self._cache_prefix, edge_bytes, (src, lanes), extra=(num_lanes,)
-        )
-        timing = cache.get(key)
-        if timing is None:
-            timing = self._compute_timing(src, lanes, num_lanes, edge_bytes)
-            cache.put(key, timing)
-        return timing
 
     def _compute_timing(
         self,
@@ -301,24 +274,6 @@ class BigPipelineSim:
             num_edges=num_edges,
             num_sets=num_sets,
         )
-
-    # ------------------------------------------------------------------
-    def _functional(self, partitions, src, dst, weights, app, src_props):
-        """Execute the UDFs through the routed Gather PE array."""
-        gpes = GatherPeArray(
-            self.config.n_gpe,
-            self.config.partition_vertices,
-            routed=True,
-        )
-        gpes.reset(app, [p.vertex_lo for p in partitions])
-        if src.size:
-            updates = self.scatter_pes.process(app, src_props[src], weights)
-            gpes.absorb(app, dst, updates)
-        buffers = gpes.drain()
-        return [
-            (p.vertex_lo, p.vertex_hi, buffers[i][: p.num_dst_vertices])
-            for i, p in enumerate(partitions)
-        ]
 
     def loader_stats(self, partitions: List[Partition]):
         """Vertex Loader counters for a group (ablation instrumentation)."""

@@ -10,8 +10,6 @@ after the partition drains.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 import numpy as np
 
 from repro.arch.config import PipelineConfig
@@ -21,7 +19,6 @@ from repro.arch.pingpong import PingPongBufferSim
 from repro.arch.timing import PartitionTiming
 from repro.graph.partition import Partition
 from repro.hbm.channel import HbmChannelModel
-from repro.perf.simcache import config_digest_prefix, get_cache, timing_key
 from repro.utils.prefix import running_release_times
 
 
@@ -35,67 +32,19 @@ class LittlePipelineSim:
         self.scatter_pes = ScatterPeArray(config.n_spe)
         #: Fault-injection hook (:mod:`repro.faults`); None = fault-free.
         self.fault_site = None
-        #: Timing-cache key prefix: binds cached results to this exact
-        #: pipeline + channel configuration (both frozen).
-        self._cache_prefix = config_digest_prefix(
-            "little", config, channel.params
-        )
 
-    def execute(
-        self,
-        partition: Partition,
-        app=None,
-        src_props: Optional[np.ndarray] = None,
-    ) -> Tuple[PartitionTiming, Optional[tuple]]:
-        """Run one partition (or sub-partition slice).
+    def execute(self, partition: Partition) -> PartitionTiming:
+        """Timing of one partition (or sub-partition slice).
 
-        Returns ``(timing, output)`` where ``output`` is
-        ``(vertex_lo, vertex_hi, merged_buffer)`` or ``None`` when running
-        timing-only.
+        The fault site's ``on_task`` hook runs first, so dead channels
+        and stalls abort the task before it is timed.
         """
         if self.fault_site is not None:
             self.fault_site.on_task("little")
         edge_bytes = 8 if partition.weights is None else 12
-        timing = self._timing(partition.src, edge_bytes)
-        output = None
-        if app is not None:
-            if src_props is None:
-                raise ValueError("functional execution needs src_props")
-            output = self._functional(partition, app, src_props)
-            if self.fault_site is not None:
-                lo, hi, buffer = output
-                output = (lo, hi, self.fault_site.filter_buffer(buffer))
-        return timing, output
+        return self._compute_timing(partition.src, edge_bytes)
 
     # ------------------------------------------------------------------
-    def _timing(
-        self, src: np.ndarray, edge_bytes: int = 8
-    ) -> PartitionTiming:
-        """Memoized per-partition cycle count.
-
-        Pure function of the partition's source content, the edge width
-        and the frozen pipeline/channel configuration — shared through
-        the in-process content-addressed cache across iterations,
-        retries and sweeps.  Calls under an *active* timing fault bypass the
-        cache (never read, never written), mirroring
-        ``SystemSimulator._timing_pass``.
-        """
-        cache = get_cache()
-        if not cache.enabled:
-            return self._compute_timing(src, edge_bytes)
-        if (
-            self.fault_site is not None
-            and self.fault_site.timing_faults_active()
-        ):
-            cache.note_bypass()
-            return self._compute_timing(src, edge_bytes)
-        key = timing_key(self._cache_prefix, edge_bytes, (src,))
-        timing = cache.get(key)
-        if timing is None:
-            timing = self._compute_timing(src, edge_bytes)
-            cache.put(key, timing)
-        return timing
-
     def _compute_timing(
         self, src: np.ndarray, edge_bytes: int = 8
     ) -> PartitionTiming:
@@ -137,8 +86,13 @@ class LittlePipelineSim:
         )
 
     # ------------------------------------------------------------------
-    def _functional(self, partition: Partition, app, src_props):
-        """Execute the UDFs through statically-dispatched Gather PEs."""
+    def functional(self, partition: Partition, app, src_props: np.ndarray):
+        """Run one partition's UDFs through statically-dispatched Gather
+        PEs; returns ``(vertex_lo, vertex_hi, merged_buffer)``.
+
+        Bit-flip faults reach the drained buffer through the fault
+        site's ``filter_buffer`` hook.  No timing is computed.
+        """
         gpes = GatherPeArray(
             self.config.n_gpe,
             self.config.partition_vertices,
@@ -151,11 +105,10 @@ class LittlePipelineSim:
             )
             gpes.absorb(app, partition.dst, updates)
         merged = merge_buffers(app, gpes.drain())
-        return (
-            partition.vertex_lo,
-            partition.vertex_hi,
-            merged[: partition.num_dst_vertices],
-        )
+        buffer = merged[: partition.num_dst_vertices]
+        if self.fault_site is not None:
+            buffer = self.fault_site.filter_buffer(buffer)
+        return partition.vertex_lo, partition.vertex_hi, buffer
 
     def pingpong_stats(self, partition: Partition):
         """Ping-Pong Buffer counters (jump-access ablation)."""

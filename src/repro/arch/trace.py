@@ -121,7 +121,7 @@ def trace_plan(
     for pipe_idx, tasks in enumerate(plan.little_tasks):
         clock = 0.0
         for task_idx, task in enumerate(tasks):
-            timing, _ = little.execute(task.partition)
+            timing = little.execute(task.partition)
             events.append(
                 TraceEvent(
                     pipeline=f"little[{pipe_idx}]",
@@ -136,7 +136,7 @@ def trace_plan(
     for pipe_idx, tasks in enumerate(plan.big_tasks):
         clock = 0.0
         for task_idx, task in enumerate(tasks):
-            timing, _ = big.execute(task.partitions)
+            timing = big.execute(task.partitions)
             label = "+".join(f"p{p.index}" for p in task.partitions[:3])
             if len(task.partitions) > 3:
                 label += f"+{len(task.partitions) - 3}"

@@ -212,11 +212,10 @@ class FleetSoakResult:
     config: FleetSoakConfig
     report: FleetReport
     kills: List[ReplicaKill] = field(default_factory=list)
-    #: Execution-acceleration stats (placement probes, simulation-cache
-    #: counters).  Deliberately kept *outside* :class:`FleetReport`: the
-    #: report digest certifies the served outcome, which must not depend
-    #: on cache settings, while these counters describe how fast we got
-    #: there.
+    #: Execution-acceleration stats (placement probes).  Deliberately
+    #: kept *outside* :class:`FleetReport`: the report digest certifies
+    #: the served outcome, which must not depend on perf settings, while
+    #: these counters describe how fast we got there.
     perf: dict = field(default_factory=dict)
     #: Durability accounting (results restored from the store, replay
     #: duplicates suppressed, divergences) — same side-channel contract
@@ -269,8 +268,8 @@ def run_fleet_soak(
     """Generate and serve the soak's job stream under its kill schedule.
 
     ``perf`` (a :class:`~repro.perf.config.PerfConfig`) configures the
-    simulation cache and the compiled core before the event loop
-    starts.  The report digest is unaffected.
+    compiled core before the event loop starts.  The report digest is
+    unaffected.
 
     ``journal_path``/``store_path`` attach the durability pair (see
     ``docs/DURABILITY.md``); the digest is again unaffected.
@@ -318,12 +317,7 @@ def run_fleet_soak(
         store.close()
     result = FleetSoakResult(config=config, report=report, kills=kills)
     if perf is not None:
-        from repro.perf.simcache import get_cache
-
-        result.perf = {
-            "placement": dict(runtime.placement.probe_stats),
-            **get_cache().stats(),
-        }
+        result.perf = {"placement": dict(runtime.placement.probe_stats)}
     if journal is not None or store is not None:
         result.recovery = dict(runtime.recovery_stats)
     if scaler is not None:

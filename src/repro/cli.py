@@ -84,14 +84,6 @@ def _add_perf_arguments(
                  "1 = serial; results are bit-identical either way)",
         )
     parser.add_argument(
-        "--no-sim-cache", action="store_true",
-        help="disable the content-addressed partition-timing cache",
-    )
-    parser.add_argument(
-        "--cache-entries", type=int, default=None, metavar="N",
-        help="simulation-cache capacity in entries (default 4096)",
-    )
-    parser.add_argument(
         "--no-compiled", action="store_true",
         help="disable the compiled simulation core and take the "
              "interpreted reference path (results are bit-identical "
@@ -100,31 +92,16 @@ def _add_perf_arguments(
 
 
 def _perf_config(args):
-    from repro.perf import DEFAULT_CACHE_ENTRIES, PerfConfig
+    from repro.perf import PerfConfig
 
-    entries = args.cache_entries
-    if entries is None:
-        entries = DEFAULT_CACHE_ENTRIES
     return PerfConfig(
         workers=getattr(args, "jobs", 1),
-        cache_enabled=not args.no_sim_cache,
-        cache_entries=entries,
         compiled=not args.no_compiled,
     )
 
 
-def _print_cache_stats() -> None:
-    """One-line simulation-cache summary (silent when nothing ran)."""
-    from repro.perf import get_cache
-
-    stats = get_cache().stats()
-    activity = stats["hits"] + stats["misses"] + stats["bypasses"]
-    if not stats["enabled"] or activity == 0:
-        return
-    print(f"sim cache: {stats['hits']} hits / {stats['misses']} misses "
-          f"(hit rate {stats['hit_rate']:.1%}), "
-          f"{stats['entries']}/{stats['max_entries']} entries, "
-          f"{stats['bypasses']} fault bypasses")
+def _print_compiled_stats() -> None:
+    """Compiled-core summary lines (silent when nothing ran)."""
     from repro.compiled import compiled_stats
 
     cstats = compiled_stats()
@@ -220,7 +197,7 @@ def cmd_run(args) -> int:
           f"({'converged' if run.converged else 'cap reached'})")
     print(f"simulated time: {run.total_seconds * 1e3:.3f} ms")
     print(f"throughput: {run.mteps:,.0f} MTEPS")
-    _print_cache_stats()
+    _print_compiled_stats()
     return 0
 
 
@@ -252,7 +229,7 @@ def cmd_sweep(args) -> int:
         rows,
         title=f"pipeline-combination sweep on {graph.name}",
     ))
-    _print_cache_stats()
+    _print_compiled_stats()
     return 0
 
 
@@ -431,7 +408,7 @@ def cmd_check(args) -> int:
     print(f"{report.num_checks - failed_oracles}/{report.num_checks} "
           f"oracle checks passed, "
           f"{len(report.violations)} invariant violation(s)")
-    _print_cache_stats()
+    _print_compiled_stats()
     return 0 if report.passed else 1
 
 
@@ -515,7 +492,7 @@ def _chaos_run(args) -> int:
             perf=perf,
         )
     _print_campaign_summary(report)
-    _print_cache_stats()
+    _print_compiled_stats()
     if args.report_json:
         with open(args.report_json, "w") as fh:
             json.dump(report.to_dict(), fh, indent=2)
@@ -895,18 +872,11 @@ def _print_perf_stats(perf: dict) -> None:
     """Execution-acceleration lines for a soak (silent when absent).
 
     Reports saved by older builds carry extra keys (worker count,
-    warm-up and on-disk cache counters, probe-evaluator stats); they
-    are ignored.
+    simulation-cache counters, probe-evaluator stats); they are
+    ignored.
     """
     if not perf:
         return
-    if perf.get("hits", 0) or perf.get("misses", 0):
-        line = (f"perf: sim cache {perf['hits']} hits / "
-                f"{perf['misses']} misses "
-                f"(hit rate {perf.get('hit_rate', 0.0):.1%})")
-        if perf.get("bypasses", 0):
-            line += f", {perf['bypasses']} fault bypasses"
-        print(line)
     placement = perf.get("placement")
     if placement and placement.get("probes", 0):
         print(f"placement probes: {placement['probes']} Eq. 1-4 "

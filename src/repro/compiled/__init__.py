@@ -5,12 +5,10 @@ Python; this package compiles a
 :class:`~repro.sched.plan.SchedulingPlan` into a static node plan
 (:mod:`repro.compiled.lower`), evaluates all nodes' timing recurrences
 in a few batched numpy passes (:mod:`repro.compiled.evaluate`) and
-re-evaluates only affected nodes when a channel parameter, a single
-task or one fault site changes (:mod:`repro.compiled.incremental`).
+memoises the result per channel parameters on the plan's
+:class:`CompiledEngine`, the only timing memo in the simulator.
 Results are **bit-identical** to the interpreted path — the equivalence
-harness in ``tests/test_compiled_equivalence.py`` is the contract — and
-populate the same content-addressed
-:class:`~repro.perf.simcache.SimulationCache` entries.
+harness in ``tests/test_compiled_equivalence.py`` is the contract.
 
 The same split covers the functional pass
 (:mod:`repro.compiled.functional`: one destination-grouped edge layout
@@ -40,9 +38,7 @@ from repro.compiled.functional import (
     functional_engine,
     lower_functional_plan,
 )
-from repro.compiled.incremental import IncrementalEvaluator
 from repro.compiled.lower import CompiledPlan, compile_plan
-from repro.compiled.spec import CompiledSpec
 from repro.compiled.trace import synthesize_trace
 
 _ENABLED = True
@@ -63,10 +59,8 @@ def configure_compiled(enabled: bool) -> bool:
 __all__ = [
     "CompiledEngine",
     "CompiledPlan",
-    "CompiledSpec",
     "FunctionalEngine",
     "FunctionalPlan",
-    "IncrementalEvaluator",
     "compile_plan",
     "compiled_enabled",
     "compiled_stats",

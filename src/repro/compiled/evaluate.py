@@ -23,12 +23,8 @@ are taken anywhere: float addition is not associative, so re-ordered
 "equivalent" math would break the equivalence harness.
 
 Evaluations are memoized per frozen
-:class:`~repro.hbm.channel.HbmTimingParams` and their results are
-published into the process-global
-:class:`~repro.perf.simcache.SimulationCache` under the *same*
-content-addressed keys the interpreted memo uses, so the functional
-pass (and any later interpreted caller) hits entries the compiled pass
-produced.
+:class:`~repro.hbm.channel.HbmTimingParams` on the plan's
+:class:`CompiledEngine` — the only timing memo in the simulator.
 """
 
 from __future__ import annotations
@@ -52,7 +48,7 @@ ENGINE_MEMO_ENTRIES = 16
 
 
 # ---------------------------------------------------------------------------
-# Process-global stats (surfaced beside the simulation-cache counters)
+# Process-global stats
 # ---------------------------------------------------------------------------
 _STATS = {
     "plans_compiled": 0,
@@ -177,20 +173,19 @@ def _evaluate_big_nodes(
             )
 
 
-def evaluate_nodes(
-    cplan: CompiledPlan,
-    nodes: Iterable[object],
-    channel: HbmChannelModel,
-) -> Dict[int, PartitionTiming]:
-    """Evaluate a subset of nodes under ``channel``; keyed by node index.
+def evaluate_plan(
+    cplan: CompiledPlan, channel: HbmChannelModel
+) -> List[PartitionTiming]:
+    """Evaluate every node; returns timings indexed by node index.
 
     Empty nodes resolve to their channel-independent constant timing;
     the rest are batched per pipeline kind.
     """
+    _STATS["evaluations"] += 1
     out: Dict[int, PartitionTiming] = {}
     little: List[LittleNode] = []
     big: List[BigNode] = []
-    for node in nodes:
+    for node in cplan.nodes:
         constant = cplan.constant_timing(node)
         if constant is not None:
             out[node.index] = constant
@@ -201,63 +196,7 @@ def evaluate_nodes(
     _evaluate_little_nodes(little, channel, out)
     _evaluate_big_nodes(big, channel, out)
     _STATS["nodes_evaluated"] += len(out)
-    return out
-
-
-def evaluate_plan(
-    cplan: CompiledPlan, channel: HbmChannelModel
-) -> List[PartitionTiming]:
-    """Evaluate every node; returns timings indexed by node index."""
-    _STATS["evaluations"] += 1
-    by_index = evaluate_nodes(cplan, cplan.nodes, channel)
-    return [by_index[i] for i in range(len(cplan.nodes))]
-
-
-# ---------------------------------------------------------------------------
-# Simulation-cache composition
-# ---------------------------------------------------------------------------
-def publish_to_cache(
-    cplan: CompiledPlan,
-    channel: HbmChannelModel,
-    timings: List[PartitionTiming],
-) -> int:
-    """Insert compiled results under the interpreted memo's cache keys.
-
-    The functional pass re-times each task through
-    ``LittlePipelineSim._timing`` / ``BigPipelineSim._timing``; seeding
-    their exact content-addressed keys turns all of those lookups into
-    hits.  Returns the number of entries written (0 when the cache is
-    disabled or the entries are already present).
-    """
-    from repro.perf.simcache import (
-        config_digest_prefix,
-        get_cache,
-        timing_key,
-    )
-
-    cache = get_cache()
-    if not cache.enabled or not cplan.nodes:
-        return 0
-    config = cplan.config
-    prefixes = {
-        "little": config_digest_prefix("little", config, channel.params),
-        "big": config_digest_prefix("big", config, channel.params),
-    }
-    written = 0
-    for node in cplan.nodes:
-        if node.kind == "little":
-            key = timing_key(prefixes["little"], node.edge_bytes, (node.src,))
-        else:
-            key = timing_key(
-                prefixes["big"],
-                node.edge_bytes,
-                (node.src, node.lanes),
-                extra=(node.num_lanes,),
-            )
-        if not cache.contains(key):
-            cache.put(key, timings[node.index])
-            written += 1
-    return written
+    return [out[i] for i in range(len(cplan.nodes))]
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +218,8 @@ class CompiledEngine:
         if cached is not None:
             self._memo.move_to_end(params)
             _STATS["memo_hits"] += 1
-            publish_to_cache(self.cplan, channel, cached)
             return cached
         timings = evaluate_plan(self.cplan, channel)
-        publish_to_cache(self.cplan, channel, timings)
         self._memo[params] = timings
         while len(self._memo) > ENGINE_MEMO_ENTRIES:
             self._memo.popitem(last=False)

@@ -43,13 +43,11 @@ class LittleNode:
     order: int          #: position within the pipeline's task list
     num_edges: int
     num_sets: int
-    edge_bytes: int
     set_cycles: float       #: edge-set stream period (Burst Read)
     service_cycles: float   #: constant per-set Gather service
     store_cycles: float     #: partition store incl. merger drain
     switch_cycles: float
     fill_at_set: np.ndarray  #: [S] burst-relative fill completion
-    src: np.ndarray          #: retained for simulation-cache keys
 
     kind = "little"
 
@@ -63,7 +61,6 @@ class BigNode:
     order: int
     num_edges: int
     num_sets: int
-    edge_bytes: int
     set_cycles: float
     store_cycles: float
     switch_cycles: float
@@ -71,9 +68,6 @@ class BigNode:
     arrival: np.ndarray          #: [R] request arrival cycles
     last_req_per_set: np.ndarray  #: [S] releasing request (-1 = none)
     gather_service: np.ndarray    #: [S] router-bound Gather service
-    src: np.ndarray               #: merged sources (cache keys)
-    lanes: np.ndarray             #: per-edge Gather lanes (cache keys)
-    num_lanes: int
 
     kind = "big"
 
@@ -124,13 +118,11 @@ def lower_little_task(
         order=order,
         num_edges=int(partition.src.size),
         num_sets=int(fill_at_set.size),
-        edge_bytes=edge_bytes,
         set_cycles=config.edges_per_set * edge_bytes / 64.0,
         service_cycles=config.edges_per_set * config.proc_cycles_per_edge,
         store_cycles=store,
         switch_cycles=config.switch_cycles,
         fill_at_set=fill_at_set,
-        src=np.asarray(partition.src),
     )
 
 
@@ -149,7 +141,6 @@ def lower_big_task(
         order=order,
         num_edges=int(src.size),
         num_sets=structure.num_sets,
-        edge_bytes=edge_bytes,
         set_cycles=config.edges_per_set * edge_bytes / 64.0,
         store_cycles=config.store_cycles,
         switch_cycles=config.switch_cycles,
@@ -157,9 +148,6 @@ def lower_big_task(
         arrival=structure.arrival,
         last_req_per_set=structure.last_req_per_set,
         gather_service=gather,
-        src=src,
-        lanes=lanes,
-        num_lanes=len(partitions),
     )
 
 

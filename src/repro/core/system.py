@@ -8,9 +8,10 @@ cycle count is the slowest pipeline's busy time overlapped with the
 Apply/Writer stream.
 
 Task timings are invariant across iterations (the edge lists never
-change), so they are simulated once and cached; the *functional* pass —
-running the app's UDFs through the modelled PEs — repeats every iteration
-because properties evolve.
+change), so they are simulated once per simulator and memoised per plan
+by the compiled engine; the *functional* pass — running the app's UDFs
+through the modelled PEs — repeats every iteration because properties
+evolve.
 """
 
 from __future__ import annotations
@@ -141,10 +142,10 @@ class SystemSimulator:
     def _timing_pass(self, num_vertices: int) -> IterationReport:
         """Simulate one iteration's timing.
 
-        Cached across iterations while no fault can perturb it (always,
-        for fault-free runs); recomputed uncached — and never written to
-        the cache — while injected timing faults are active, so clean
-        iterations before/after a fault window keep the baseline counts.
+        Kept across iterations while no fault can perturb it (always,
+        for fault-free runs); recomputed — and never kept — while
+        injected timing faults are active, so clean iterations
+        before/after a fault window keep the baseline counts.
 
         Fault-free passes route through the compiled engine when it is
         enabled (:func:`repro.compiled.compiled_enabled`); faulty passes
@@ -178,8 +179,8 @@ class SystemSimulator:
         The engine compiles the plan on first use (structure is attached
         to the plan object and reused across simulators, iterations and
         channel variants), evaluates all nodes batched under this
-        simulator's channel, publishes the per-task timings into the
-        simulation cache, and replays the interpreted busy-sum order.
+        simulator's channel (memoised per channel parameters), and
+        replays the interpreted busy-sum order.
         """
         from repro.compiled import plan_engine
 
@@ -192,7 +193,7 @@ class SystemSimulator:
         )
 
     def _compute_timing(self, num_vertices: int) -> IterationReport:
-        """One uncached timing pass over every pipeline's task list."""
+        """One interpreted timing pass over every pipeline's task list."""
         injector = self.injector
         if injector is not None:
             injector.pass_kind = "timing"
@@ -202,8 +203,7 @@ class SystemSimulator:
                 injector.enter_pipeline("little", idx)
             busy = 0.0
             for task in tasks:
-                timing, _ = self._little.execute(task.partition)
-                busy += timing.total_cycles
+                busy += self._little.execute(task.partition).total_cycles
             little.append(busy)
         big = []
         for idx, tasks in enumerate(self.plan.big_tasks):
@@ -211,8 +211,7 @@ class SystemSimulator:
                 injector.enter_pipeline("big", idx)
             busy = 0.0
             for task in tasks:
-                timing, _ = self._big.execute(task.partitions)
-                busy += timing.total_cycles
+                busy += self._big.execute(task.partitions).total_cycles
             big.append(busy)
         if injector is not None:
             injector.exit_pipeline()
@@ -270,7 +269,11 @@ class SystemSimulator:
         return self._apply.run(app, props, acc)
 
     def _interpreted_functional(self, app, props: np.ndarray) -> np.ndarray:
-        """The per-task interpreted walk (fault oracle and fallback)."""
+        """The per-task interpreted walk (fault oracle and fallback).
+
+        Calls only the pipelines' functional halves; task timing
+        belongs to the timing pass.
+        """
         injector = self.injector
         if injector is not None:
             injector.pass_kind = "functional"
@@ -279,14 +282,15 @@ class SystemSimulator:
             if injector is not None:
                 injector.enter_pipeline("little", idx)
             for task in tasks:
-                _, output = self._little.execute(task.partition, app, props)
-                lo, hi, buffer = output
+                lo, hi, buffer = self._little.functional(
+                    task.partition, app, props
+                )
                 acc[lo:hi] = app.gather(acc[lo:hi], buffer)
         for idx, tasks in enumerate(self.plan.big_tasks):
             if injector is not None:
                 injector.enter_pipeline("big", idx)
             for task in tasks:
-                _, outputs = self._big.execute(task.partitions, app, props)
+                outputs = self._big.functional(task.partitions, app, props)
                 for lo, hi, buffer in outputs:
                     acc[lo:hi] = app.gather(acc[lo:hi], buffer)
         if injector is not None:
@@ -295,7 +299,7 @@ class SystemSimulator:
 
     # -- public single-iteration surface (used by the resilient layer) --
     def iteration_timing(self, num_vertices: int) -> IterationReport:
-        """Timing of one iteration (cached when no fault is active)."""
+        """Timing of one iteration (kept when no fault is active)."""
         return self._timing_pass(num_vertices)
 
     def iteration_trace(self):

@@ -54,8 +54,8 @@ def calibrate_performance_model(
     fit = fit_linear_latency(strides, effective)
 
     dummy = _dummy_partition()
-    big_timing, _ = BigPipelineSim(config, channel).execute([dummy])
-    little_timing, _ = LittlePipelineSim(config, channel).execute(dummy)
+    big_timing = BigPipelineSim(config, channel).execute([dummy])
+    little_timing = LittlePipelineSim(config, channel).execute(dummy)
 
     return PerformanceModel(
         config=config,

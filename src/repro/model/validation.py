@@ -74,7 +74,7 @@ def validate_model_on_graph(
 
     little_signed = []
     for p in parts:
-        sim = little.execute(p)[0].total_cycles
+        sim = little.execute(p).total_cycles
         est = model.estimate_little_execution(p.src)
         little_signed.append((est - sim) / sim)
 
@@ -82,7 +82,7 @@ def validate_model_on_graph(
     n = config.n_gpe
     for lo in range(0, len(parts), n):
         group = parts[lo : lo + n]
-        sim = big.execute(group)[0].total_cycles
+        sim = big.execute(group).total_cycles
         est = model.estimate_big_group([p.src for p in group])
         big_signed.append((est - sim) / sim)
 

@@ -33,10 +33,9 @@ _POOL_FAILURES = (BrokenProcessPool, PicklingError, OSError)
 def _apply_perf_in_worker(perf_dict: dict) -> None:
     """Pool initializer: re-apply the caller's PerfConfig in the worker.
 
-    Without this, workers run on whatever process-global cache/compiled
-    state they inherited (fork) or the defaults (spawn) — so
-    ``--no-sim-cache``/``--cache-entries``/``--no-compiled`` silently
-    stopped applying inside pools.  The config travels as its
+    Without this, workers run on whatever process-global compiled
+    switch they inherited (fork) or the default (spawn) — so
+    ``--no-compiled`` silently stopped applying inside pools.  The config travels as its
     ``to_dict()`` payload (plain primitives, picklable everywhere).
     """
     from repro.perf.config import PerfConfig

@@ -60,6 +60,40 @@ def _simulate_queue(
     return ClusterSchedule(pipeline_finish=tuple(finish))
 
 
+def _task_cycles(
+    plan: SchedulingPlan, channel: HbmChannelModel
+) -> Tuple[List[List[float]], List[List[float]]]:
+    """Every task's cycles per pipeline, in plan order: ``(little, big)``.
+
+    Fault-free channels read the plan's memoised compiled timings (the
+    same numbers the interpreted pipelines produce, bit for bit); a
+    channel with a fault site is timed task by task, since its timings
+    depend on injector state the memo must not capture.
+    """
+    if channel.fault_site is None:
+        # Imported here: repro.compiled imports this package.
+        from repro.compiled import plan_engine
+
+        engine = plan_engine(plan)
+        timings = engine.timings(channel)
+
+        def cycles(rows):
+            return [[timings[n.index].total_cycles for n in row]
+                    for row in rows]
+
+        cplan = engine.cplan
+        return cycles(cplan.little_by_pipe), cycles(cplan.big_by_pipe)
+    config = plan.accelerator.pipeline
+    little = LittlePipelineSim(config, channel)
+    big = BigPipelineSim(config, channel)
+    return (
+        [[little.execute(t.partition).total_cycles for t in tasks]
+         for tasks in plan.little_tasks],
+        [[big.execute(t.partitions).total_cycles for t in tasks]
+         for tasks in plan.big_tasks],
+    )
+
+
 def dynamic_makespan(
     plan: SchedulingPlan,
     channel: Optional[HbmChannelModel] = None,
@@ -73,21 +107,9 @@ def dynamic_makespan(
     ``longest_first`` sorts the queue by measured duration — the classic
     LPT heuristic an informed runtime would use.
     """
-    channel = channel or HbmChannelModel()
-    config = plan.accelerator.pipeline
-    little = LittlePipelineSim(config, channel)
-    big = BigPipelineSim(config, channel)
-
-    little_durations: List[float] = [
-        little.execute(task.partition)[0].total_cycles
-        for tasks in plan.little_tasks
-        for task in tasks
-    ]
-    big_durations: List[float] = [
-        big.execute(task.partitions)[0].total_cycles
-        for tasks in plan.big_tasks
-        for task in tasks
-    ]
+    little, big = _task_cycles(plan, channel or HbmChannelModel())
+    little_durations = [cycles for row in little for cycles in row]
+    big_durations = [cycles for row in big for cycles in row]
     if longest_first:
         little_durations.sort(reverse=True)
         big_durations.sort(reverse=True)
@@ -106,17 +128,6 @@ def static_makespan(
     channel: Optional[HbmChannelModel] = None,
 ) -> float:
     """Measured (cycle-simulated) makespan of the static plan itself."""
-    channel = channel or HbmChannelModel()
-    config = plan.accelerator.pipeline
-    little = LittlePipelineSim(config, channel)
-    big = BigPipelineSim(config, channel)
-    finish = []
-    for tasks in plan.little_tasks:
-        finish.append(
-            sum(little.execute(t.partition)[0].total_cycles for t in tasks)
-        )
-    for tasks in plan.big_tasks:
-        finish.append(
-            sum(big.execute(t.partitions)[0].total_cycles for t in tasks)
-        )
+    little, big = _task_cycles(plan, channel or HbmChannelModel())
+    finish = [sum(row) for row in little + big]
     return max(finish) if finish else 0.0

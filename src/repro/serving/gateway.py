@@ -313,9 +313,6 @@ class ServingGateway:
 
     # -- observability ----------------------------------------------------
     def health(self) -> dict:
-        from repro.perf.simcache import get_cache
-
-        cache = get_cache().stats()
         health = {
             "status": "draining" if self.draining else "serving",
             "pending": len(self._pending),
@@ -324,8 +321,6 @@ class ServingGateway:
             "admission": self.admission.stats.to_dict(),
             "recovery": dict(self.recovery_stats),
             "tenants": [t.name for t in self.registry],
-            # Sim-cache telemetry (docs/PERFORMANCE.md).
-            "cache": {k: cache[k] for k in ("hits", "misses")},
         }
         scaler = getattr(self.session.runtime, "autoscaler", None)
         if scaler is not None:

@@ -29,15 +29,15 @@ def _dense_and_sparse(rmat_partitions):
 class TestTimingStructure:
     def test_store_and_switch_charged(self, big, little, rmat_partitions, config):
         dense, _ = _dense_and_sparse(rmat_partitions)
-        tb, _ = big.execute([dense])
-        tl, _ = little.execute(dense)
+        tb = big.execute([dense])
+        tl = little.execute(dense)
         assert tb.store_cycles == config.store_cycles
         assert tb.switch_cycles == config.switch_cycles
         assert tl.switch_cycles == config.switch_cycles
 
     def test_total_is_sum_of_parts(self, little, rmat_partitions):
         dense, _ = _dense_and_sparse(rmat_partitions)
-        t, _ = little.execute(dense)
+        t = little.execute(dense)
         assert t.total_cycles == (
             t.compute_cycles + t.store_cycles + t.switch_cycles
         )
@@ -45,16 +45,16 @@ class TestTimingStructure:
     def test_empty_partition_costs_only_overheads(self, big, little):
         empty = Partition(0, 0, 512, np.zeros(0, dtype=np.int64),
                           np.zeros(0, dtype=np.int64))
-        tb, _ = big.execute([empty])
-        tl, _ = little.execute(empty)
+        tb = big.execute([empty])
+        tl = little.execute(empty)
         assert tb.compute_cycles == 0.0
         assert tl.compute_cycles == 0.0
         assert tb.total_cycles > 0 and tl.total_cycles > 0
 
     def test_combine_timings(self, little, rmat_partitions):
         dense, sparse = _dense_and_sparse(rmat_partitions)
-        t1, _ = little.execute(dense)
-        t2, _ = little.execute(sparse)
+        t1 = little.execute(dense)
+        t2 = little.execute(sparse)
         combined = combine_timings([t1, t2])
         assert combined.num_edges == t1.num_edges + t2.num_edges
         assert combined.total_cycles == pytest.approx(
@@ -63,7 +63,7 @@ class TestTimingStructure:
 
     def test_cycles_per_edge(self, little, rmat_partitions):
         dense, _ = _dense_and_sparse(rmat_partitions)
-        t, _ = little.execute(dense)
+        t = little.execute(dense)
         assert t.cycles_per_edge > 0
 
 
@@ -72,20 +72,20 @@ class TestFig9Crossover:
 
     def test_little_faster_on_dense_group(self, big, little, rmat_partitions, config):
         parts = rmat_partitions.nonempty()[: config.n_gpe]
-        tb, _ = big.execute(parts)
-        tl_total = sum(little.execute(p)[0].total_cycles for p in parts)
+        tb = big.execute(parts)
+        tl_total = sum(little.execute(p).total_cycles for p in parts)
         assert tl_total < tb.total_cycles
 
     def test_big_faster_on_sparse_group(self, big, little, rmat_partitions, config):
         parts = rmat_partitions.nonempty()[-config.n_gpe :]
-        tb, _ = big.execute(parts)
-        tl_total = sum(little.execute(p)[0].total_cycles for p in parts)
+        tb = big.execute(parts)
+        tl_total = sum(little.execute(p).total_cycles for p in parts)
         assert tb.total_cycles < tl_total
 
     def test_big_amortises_switch_overhead(self, big, rmat_partitions, config):
         parts = rmat_partitions.nonempty()[-config.n_gpe :]
-        grouped, _ = big.execute(parts)
-        separate = sum(big.execute([p])[0].total_cycles for p in parts)
+        grouped = big.execute(parts)
+        separate = sum(big.execute([p]).total_cycles for p in parts)
         assert grouped.total_cycles < separate
 
 
@@ -113,8 +113,8 @@ class TestBigPipeline:
 
     def test_functional_needs_props(self, big, rmat_partitions, dbg_rmat):
         app = PageRank(dbg_rmat.graph)
-        with pytest.raises(ValueError, match="src_props"):
-            big.execute([rmat_partitions.nonempty()[0]], app=app)
+        with pytest.raises(TypeError, match="src_props"):
+            big.functional([rmat_partitions.nonempty()[0]], app)
 
     def test_functional_outputs_match_direct_gather(
         self, big, rmat_partitions, dbg_rmat, config
@@ -122,7 +122,7 @@ class TestBigPipeline:
         app = PageRank(dbg_rmat.graph)
         props = app.init_props()
         parts = rmat_partitions.nonempty()[-config.n_gpe :]
-        _, outputs = big.execute(parts, app=app, src_props=props)
+        outputs = big.functional(parts, app, props)
         for partition, (lo, hi, buf) in zip(parts, outputs):
             expected = np.zeros(hi - lo, dtype=np.int64)
             np.add.at(expected, partition.dst - lo, props[partition.src])
@@ -140,7 +140,7 @@ class TestLittlePipeline:
         app = PageRank(dbg_rmat.graph)
         props = app.init_props()
         partition = rmat_partitions.nonempty()[0]
-        _, (lo, hi, buf) = little.execute(partition, app=app, src_props=props)
+        lo, hi, buf = little.functional(partition, app, props)
         expected = np.zeros(hi - lo, dtype=np.int64)
         np.add.at(expected, partition.dst - lo, props[partition.src])
         np.testing.assert_array_equal(buf, expected)
@@ -149,10 +149,10 @@ class TestLittlePipeline:
         # Splitting a partition must not make the total compute cheaper
         # than the whole (fixed costs are per execution).
         p = rmat_partitions.nonempty()[0]
-        whole, _ = little.execute(p)
+        whole = little.execute(p)
         mid = p.num_edges // 2
-        a, _ = little.execute(p.slice(0, mid))
-        b, _ = little.execute(p.slice(mid, p.num_edges))
+        a = little.execute(p.slice(0, mid))
+        b = little.execute(p.slice(mid, p.num_edges))
         assert a.compute_cycles + b.compute_cycles >= 0.8 * whole.compute_cycles
 
     def test_pingpong_stats_accessible(self, little, rmat_partitions):
@@ -205,9 +205,9 @@ class TestGatherServiceVectorization:
 class TestDeterminism:
     def test_timing_reproducible(self, big, little, rmat_partitions):
         p = rmat_partitions.nonempty()[1]
-        t1, _ = little.execute(p)
-        t2, _ = little.execute(p)
+        t1 = little.execute(p)
+        t2 = little.execute(p)
         assert t1.total_cycles == t2.total_cycles
-        g1, _ = big.execute([p])
-        g2, _ = big.execute([p])
+        g1 = big.execute([p])
+        g2 = big.execute([p])
         assert g1.total_cycles == g2.total_cycles

@@ -245,7 +245,8 @@ class TestFleetCli:
         for command in ("status", "report"):
             assert main(["fleet", command, str(path)]) == 0
             out = capsys.readouterr().out
-            assert "sim cache 117 hits / 0 misses" in out
+            # The cache counters older builds wrote are ignored.
+            assert "sim cache" not in out
             assert "placement probes: 92" in out
             assert "autoscaler: 1 spawned / 0 retired" in out
             assert "scale-up: as1" in out

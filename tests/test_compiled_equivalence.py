@@ -23,7 +23,6 @@ from repro.apps.registry import available_apps, get_app_spec
 from repro.compiled import (
     CompiledEngine,
     compile_plan,
-    compiled_enabled,
     configure_compiled,
     evaluate_plan,
     plan_engine,
@@ -37,8 +36,6 @@ from repro.graph.generators import (
     rmat_graph,
 )
 from repro.hbm.channel import HbmChannelModel
-from repro.perf import configure_cache, get_cache
-from repro.perf.simcache import DEFAULT_CACHE_ENTRIES
 
 from tests.helpers import make_framework
 from tests.strategies import channel_param_perturbations, scheduling_plans
@@ -49,14 +46,10 @@ DEVICES = ("U280", "U50")
 
 @pytest.fixture(autouse=True)
 def fresh_state():
-    """Each test starts with compiled ON and an empty cache, and leaves
-    the process-global switches at their defaults."""
-    configure_cache(enabled=True, max_entries=DEFAULT_CACHE_ENTRIES)
-    get_cache().clear()
+    """Each test starts with compiled ON and leaves the process-global
+    switch at its default."""
     configure_compiled(True)
     yield
-    configure_cache(enabled=True, max_entries=DEFAULT_CACHE_ENTRIES)
-    get_cache().clear()
     configure_compiled(True)
 
 
@@ -80,18 +73,25 @@ def family_graph(family: str, seed: int = 3, weighted: bool = False):
 
 
 def dispatch(framework, app: str, graph, **kwargs):
-    """Run ``app`` by name (mirrors the chaos campaign's dispatch)."""
+    """Run ``app`` by name (mirrors the chaos campaign's dispatch).
+
+    Rooted apps start at the input vertex with the largest out-degree:
+    a root without out-edges (vertex 0 of the ``rmat`` and ``powerlaw``
+    graphs) stops the run after one iteration with only the root set,
+    and such a run cannot tell a right fold from a wrong one.
+    """
+    source = int(np.argmax(graph.out_degrees()))
     if app == "pagerank":
         return framework.run_pagerank(graph, **kwargs)
     if app == "bfs":
-        return framework.run_bfs(graph, root=0, **kwargs)
+        return framework.run_bfs(graph, root=source, **kwargs)
     if app == "closeness":
-        return framework.run_closeness(graph, root=0, **kwargs)
+        return framework.run_closeness(graph, root=source, **kwargs)
     if app == "sssp":
         from repro.apps.sssp import SingleSourceShortestPaths
 
         pre = framework.preprocess(graph)
-        root = pre.to_internal_vertex(0)
+        root = pre.to_internal_vertex(source)
         return framework.run(
             pre,
             lambda g: SingleSourceShortestPaths(g, root=root),
@@ -105,7 +105,7 @@ def dispatch(framework, app: str, graph, **kwargs):
         )
     spec = get_app_spec(app)
     pre = framework.preprocess(graph)
-    root = pre.to_internal_vertex(0) if spec.takes_root else None
+    root = pre.to_internal_vertex(source) if spec.takes_root else None
     return framework.run(pre, lambda g: spec.build(g, root=root), **kwargs)
 
 
@@ -142,10 +142,9 @@ def run_report_digest(run) -> str:
 
 
 def run_both_paths(app, device, graph, **kwargs):
-    """One run per path, each from a cold cache; returns both reports."""
+    """One run per path; returns both reports."""
     reports = []
     for compiled in (True, False):
-        get_cache().clear()
         configure_compiled(compiled)
         framework = make_framework(platform=device)
         reports.append(
@@ -170,6 +169,33 @@ class TestRunReportEquivalence:
         graph = family_graph("rmat", weighted=(app == "sssp"))
         compiled, interpreted = run_both_paths(app, "U280", graph)
         assert run_report_digest(compiled) == run_report_digest(interpreted)
+
+    @pytest.mark.parametrize("app", ("bfs", "sssp"))
+    def test_wrong_compiled_fold_fails_the_digest(self, app, monkeypatch):
+        # Negative control for the cell above: with the compiled min-fold
+        # swapped for np.add (the interpreted PEs keep np.minimum), the
+        # rooted rmat runs must reach enough vertices for the digests
+        # to split.
+        from repro.compiled.functional import FunctionalEngine
+
+        real = FunctionalEngine.accumulate
+
+        class AddFold:
+            gather_ufunc = np.add
+
+            def __init__(self, app):
+                self._app = app
+
+            def __getattr__(self, name):
+                return getattr(self._app, name)
+
+        monkeypatch.setattr(
+            FunctionalEngine, "accumulate",
+            lambda engine, app, props: real(engine, AddFold(app), props),
+        )
+        graph = family_graph("rmat", weighted=(app == "sssp"))
+        compiled, interpreted = run_both_paths(app, "U280", graph)
+        assert run_report_digest(compiled) != run_report_digest(interpreted)
 
     @pytest.mark.parametrize("family", ("rmat", "powerlaw", "uniform"))
     def test_every_graph_family_digest_identical(self, family):
@@ -230,16 +256,15 @@ class TestPartitionTimingEquivalence:
         sim = SystemSimulator(pre.plan, framework.platform)
         cplan = compile_plan(pre.plan)
         timings = evaluate_plan(cplan, sim.channel)
-        configure_cache(enabled=False)  # force interpreted recompute
         for pipe, tasks in enumerate(pre.plan.little_tasks):
             for order, task in enumerate(tasks):
                 node = cplan.little_by_pipe[pipe][order]
-                expected, _ = sim._little.execute(task.partition)
+                expected = sim._little.execute(task.partition)
                 assert timings[node.index] == expected
         for pipe, tasks in enumerate(pre.plan.big_tasks):
             for order, task in enumerate(tasks):
                 node = cplan.big_by_pipe[pipe][order]
-                expected, _ = sim._big.execute(task.partitions)
+                expected = sim._big.execute(task.partitions)
                 assert timings[node.index] == expected
 
     def test_busy_sums_replay_interpreted_order(self):
@@ -253,24 +278,7 @@ class TestPartitionTimingEquivalence:
 
 
 class TestCacheComposition:
-    def test_compiled_run_populates_interpreted_cache_keys(self):
-        # The compiled timing pass seeds the content-addressed entries
-        # under the interpreted memo's exact keys.  A fully-compiled run
-        # no longer performs per-task lookups at all (the functional
-        # pass is compiled too), so the consumer here is an interpreted
-        # run over the same graph: its per-task ``_timing`` lookups must
-        # hit the compiled-published entries.
-        graph = family_graph("rmat")
-        framework = make_framework()
-        assert compiled_enabled()
-        framework.run_pagerank(graph, max_iterations=5)
-        stats = get_cache().stats()
-        assert stats["entries"] > 0
-        configure_compiled(False)
-        framework.run_pagerank(graph, max_iterations=2)
-        stats = get_cache().stats()
-        assert stats["hits"] > 0
-        assert stats["hit_rate"] > 0.5
+    """The plan's compiled engine is the only timing memo."""
 
     def test_engine_is_compiled_once_per_plan(self):
         framework = make_framework()
@@ -335,7 +343,6 @@ class TestProperties:
         channel = HbmChannelModel(params)
         cplan = compile_plan(plan)
         timings = evaluate_plan(cplan, channel)
-        configure_cache(enabled=False)
         from repro.arch.big_pipeline import BigPipelineSim
         from repro.arch.little_pipeline import LittlePipelineSim
 
@@ -344,12 +351,12 @@ class TestProperties:
         for pipe, tasks in enumerate(plan.little_tasks):
             for order, task in enumerate(tasks):
                 node = cplan.little_by_pipe[pipe][order]
-                expected, _ = little_sim.execute(task.partition)
+                expected = little_sim.execute(task.partition)
                 assert timings[node.index] == expected
         for pipe, tasks in enumerate(plan.big_tasks):
             for order, task in enumerate(tasks):
                 node = cplan.big_by_pipe[pipe][order]
-                expected, _ = big_sim.execute(task.partitions)
+                expected = big_sim.execute(task.partitions)
                 assert timings[node.index] == expected
 
     @given(
@@ -358,13 +365,12 @@ class TestProperties:
         params_b=channel_param_perturbations(),
     )
     @settings(max_examples=25, deadline=None)
-    def test_incremental_param_switch_equals_cold_evaluation(
+    def test_engine_memo_param_switch_equals_cold_evaluation(
         self, gp, params_a, params_b
     ):
-        from repro.compiled import IncrementalEvaluator
-
         _graph, plan = gp
-        inc = IncrementalEvaluator(plan, params=params_a)
-        inc.set_channel_params(params_b)
-        cold = IncrementalEvaluator(plan, params=params_b)
-        assert inc.timings == cold.timings
+        engine = CompiledEngine(compile_plan(plan))
+        engine.timings(HbmChannelModel(params_a))
+        switched = engine.timings(HbmChannelModel(params_b))
+        cold = evaluate_plan(compile_plan(plan), HbmChannelModel(params_b))
+        assert switched == cold

@@ -30,8 +30,6 @@ from repro.core.framework import ReGraph
 from repro.faults import BitFlipFault, FaultInjector, FaultPlan
 from repro.faults.resilience import ResiliencePolicy
 from repro.hbm.channel import HbmChannelModel
-from repro.perf import configure_cache, get_cache
-from repro.perf.simcache import DEFAULT_CACHE_ENTRIES
 
 from tests.helpers import make_framework, make_pipeline_config
 from tests.strategies import channel_param_perturbations
@@ -47,15 +45,11 @@ from tests.test_compiled_equivalence import (
 
 @pytest.fixture(autouse=True)
 def fresh_state():
-    """Each test starts with compiled ON and an empty cache, and leaves
-    the process-global switches at their defaults."""
-    configure_cache(enabled=True, max_entries=DEFAULT_CACHE_ENTRIES)
-    get_cache().clear()
+    """Each test starts with compiled ON and zeroed counters, and leaves
+    the process-global switch at its default."""
     configure_compiled(True)
     reset_compiled_stats()
     yield
-    configure_cache(enabled=True, max_entries=DEFAULT_CACHE_ENTRIES)
-    get_cache().clear()
     configure_compiled(True)
     reset_compiled_stats()
 
@@ -248,7 +242,6 @@ class TestProperties:
         graph = family_graph("rmat")
         reports = []
         for compiled in (True, False):
-            get_cache().clear()
             configure_compiled(compiled)
             framework = ReGraph(
                 "U280",

@@ -41,6 +41,10 @@ from repro.faults import (
     ResiliencePolicy,
     RunHealthReport,
 )
+from repro.graph.generators import rmat_graph
+
+from tests.helpers import make_framework
+from tests.test_compiled_equivalence import run_report_digest
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +231,38 @@ class TestCrashSafeCheckpoints:
         assert first == second
         cp = CheckpointStore.from_file(second)
         assert cp.iteration == 2
+
+
+class TestConcurrentStagingNames:
+    """Temp names must be per-call unique, so two workers (or one
+    process saving twice concurrently) never collide on one staging
+    file and clobber each other's bytes mid-write."""
+
+    def _staged_names(self, save, final, monkeypatch, times=2):
+        import repro.faults.resilience as resilience_mod
+
+        names = []
+        real_replace = resilience_mod.os.replace
+
+        def spy(src, dst):
+            names.append(str(src))
+            return real_replace(src, dst)
+
+        monkeypatch.setattr("os.replace", spy)
+        for _ in range(times):
+            save(final)
+        return names
+
+    def test_checkpoint_store_unique_tmp_names(self, tmp_path, monkeypatch):
+        import os
+
+        store = CheckpointStore()
+        store.save(0, np.zeros(4, dtype=np.int64), 0.0)
+        names = self._staged_names(
+            store.to_file, tmp_path / "cp.npz", monkeypatch
+        )
+        assert len(set(names)) == 2
+        assert all(f".tmp-{os.getpid()}-" in n for n in names)
 
 
 class TestCheckpointChecksums:
@@ -647,6 +683,30 @@ class TestResilientRuns:
         assert d["initial_label"] == "4L2B"
         assert d["breaker_trips"] == run.health.breaker_trips
         assert d["channel_breakers"] == run.health.channel_breakers
+
+    def test_faulted_run_leaves_clean_engine_memo_unpolluted(self):
+        # The plan's compiled engine memoises task timings by channel
+        # parameters alone.  A run whose latency spike covers every
+        # iteration shares the plan (and so the engine) with the clean
+        # runs around it; it must neither write spiked timings into the
+        # memo nor read clean ones out of it.
+        framework = make_framework()
+        pre = framework.preprocess(rmat_graph(11, 8, seed=3))
+        clean = framework.run_pagerank(pre, max_iterations=5)
+        plan = FaultPlan(seed=5, latency_spikes=(
+            LatencySpikeFault(
+                channel=0, onset_cycle=0.0, duration_cycles=1e12,
+                multiplier=4.0,
+            ),
+        ))
+        faulted = framework.run_pagerank(
+            pre, max_iterations=5, fault_plan=plan,
+            resilience=ResiliencePolicy(),
+        )
+        spiked = faulted.iteration_reports[0].little_cycles[0]
+        assert spiked > clean.iteration_reports[0].little_cycles[0]
+        rerun = framework.run_pagerank(pre, max_iterations=5)
+        assert run_report_digest(rerun) == run_report_digest(clean)
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),

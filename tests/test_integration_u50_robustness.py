@@ -64,8 +64,8 @@ class TestExtremeChannels:
         parts = pset.nonempty()[:2]
         big = BigPipelineSim(config, channel)
         little = LittlePipelineSim(config, channel)
-        tb, _ = big.execute(parts)
-        tl, _ = little.execute(parts[0])
+        tb = big.execute(parts)
+        tl = little.execute(parts[0])
         assert tb.total_cycles > 0 and tl.total_cycles > 0
 
     def test_slower_memory_never_speeds_up(self, small_rmat, config):
@@ -83,8 +83,8 @@ class TestExtremeChannels:
         slow = BigPipelineSim(
             config, HbmChannelModel(HbmTimingParams(max_outstanding=2))
         )
-        t_fast, _ = fast.execute(group)
-        t_slow, _ = slow.execute(group)
+        t_fast = fast.execute(group)
+        t_slow = slow.execute(group)
         assert t_slow.total_cycles >= t_fast.total_cycles
 
 

@@ -91,7 +91,7 @@ class TestModelVsSimulator:
         sim = LittlePipelineSim(config, channel)
         errors = []
         for p in rmat_partitions.nonempty():
-            measured = sim.execute(p)[0].total_cycles
+            measured = sim.execute(p).total_cycles
             estimated = perf_model.estimate_little_execution(p.src)
             errors.append(abs(estimated - measured) / measured)
         assert np.mean(errors) < 0.12
@@ -100,7 +100,7 @@ class TestModelVsSimulator:
         sim = BigPipelineSim(config, channel)
         errors = []
         for group in self._groups(rmat_partitions, config):
-            measured = sim.execute(group)[0].total_cycles
+            measured = sim.execute(group).total_cycles
             estimated = perf_model.estimate_big_group([p.src for p in group])
             errors.append(abs(estimated - measured) / measured)
         assert np.mean(errors) < 0.12

@@ -160,8 +160,8 @@ class TestIiSensitivity:
         slow = LittlePipelineSim(
             PipelineConfig(gather_buffer_vertices=512, ii_gpe=2), channel
         )
-        t_fast, _ = fast.execute(dense)
-        t_slow, _ = slow.execute(dense)
+        t_fast = fast.execute(dense)
+        t_slow = slow.execute(dense)
         assert t_slow.compute_cycles > 1.5 * t_fast.compute_cycles
 
     def test_latency_bound_partition_insensitive_to_ii(
@@ -176,8 +176,8 @@ class TestIiSensitivity:
         slow = BigPipelineSim(
             PipelineConfig(gather_buffer_vertices=512, ii_gpe=2), channel
         )
-        t_fast, _ = fast.execute(sparse)
-        t_slow, _ = slow.execute(sparse)
+        t_fast = fast.execute(sparse)
+        t_slow = slow.execute(sparse)
         # Sparse groups are memory bound; II barely matters.
         assert t_slow.total_cycles < 2.2 * t_fast.total_cycles
 
@@ -191,14 +191,14 @@ class TestAblations:
 
         sparse = rmat_partitions.nonempty()[-8:]
         routed = BigPipelineSim(config, channel)
-        grouped, _ = routed.execute(sparse)
+        grouped = routed.execute(sparse)
         unrouted_cfg = PipelineConfig(
             gather_buffer_vertices=config.gather_buffer_vertices,
             data_routing=False,
         )
         unrouted = BigPipelineSim(unrouted_cfg, channel)
         separate = sum(
-            unrouted.execute([p])[0].total_cycles for p in sparse
+            unrouted.execute([p]).total_cycles for p in sparse
         )
         assert grouped.total_cycles < separate
 
@@ -232,7 +232,7 @@ class TestAblations:
             loads = []
             for lo, hi in zip(cuts[:-1], cuts[1:]):
                 if hi > lo:
-                    timing, _ = sim.execute(partition.slice(int(lo), int(hi)))
+                    timing = sim.execute(partition.slice(int(lo), int(hi)))
                     loads.append(timing.compute_cycles)
             return max(loads) / max(min(loads), 1e-9)
 

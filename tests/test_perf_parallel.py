@@ -10,20 +10,17 @@ with ``workers > 1`` as with the plain serial loop.
 import pytest
 
 from repro.errors import UserInputError
-from repro.perf import PerfConfig, configure_cache, get_cache, parallel_map
-from repro.perf.simcache import DEFAULT_CACHE_ENTRIES
+from repro.compiled import compiled_enabled, configure_compiled
+from repro.perf import PerfConfig, parallel_map
 
 #: Enough to exercise the pool without slowing the tier-1 suite.
 WORKERS = 2
 
 
 @pytest.fixture(autouse=True)
-def fresh_cache():
-    configure_cache(enabled=True, max_entries=DEFAULT_CACHE_ENTRIES)
-    get_cache().clear()
+def compiled_default():
     yield
-    configure_cache(enabled=True, max_entries=DEFAULT_CACHE_ENTRIES)
-    get_cache().clear()
+    configure_compiled(True)
 
 
 def _square(x):
@@ -69,26 +66,26 @@ class TestPerfConfig:
         perf = PerfConfig()
         assert perf.workers == 1
         assert not perf.parallel
-        assert perf.cache_enabled
-        assert perf.cache_entries == DEFAULT_CACHE_ENTRIES
+        assert perf.compiled
 
     def test_validation(self):
         with pytest.raises(UserInputError):
             PerfConfig(workers=0)
-        with pytest.raises(UserInputError):
-            PerfConfig(cache_entries=0)
 
     def test_roundtrip(self):
-        perf = PerfConfig(workers=4, cache_enabled=False, cache_entries=64)
+        perf = PerfConfig(workers=4, compiled=False)
         assert PerfConfig.from_dict(perf.to_dict()) == perf
         assert perf.parallel
+        # Dicts written by builds that had a simulation cache still load.
+        old = {"workers": 4, "cache_enabled": False, "cache_entries": 64,
+               "compiled": False}
+        assert PerfConfig.from_dict(old) == perf
 
-    def test_apply_configures_global_cache(self):
-        PerfConfig(cache_enabled=False).apply()
-        assert not get_cache().enabled
-        PerfConfig(cache_enabled=True, cache_entries=128).apply()
-        assert get_cache().enabled
-        assert get_cache().max_entries == 128
+    def test_apply_configures_compiled_switch(self):
+        PerfConfig(compiled=False).apply()
+        assert not compiled_enabled()
+        PerfConfig().apply()
+        assert compiled_enabled()
 
 
 class TestParallelEquivalence:
@@ -124,7 +121,6 @@ class TestParallelEquivalence:
 
         config = FleetSoakConfig(seed=13, jobs=6, replicas=("U280", "U50"))
         serial = run_fleet_soak(config)
-        get_cache().clear()
         parallel = run_fleet_soak(config, perf=PerfConfig(workers=WORKERS))
         assert parallel.report.digest() == serial.report.digest()
         # The perf stats ride beside the report, never inside it.

@@ -2,7 +2,12 @@
 
 import pytest
 
+from repro.arch.big_pipeline import BigPipelineSim
+from repro.arch.little_pipeline import LittlePipelineSim
+from repro.faults import FaultInjector, FaultPlan
+from repro.hbm.channel import HbmChannelModel
 from repro.sched.dynamic import (
+    DYNAMIC_PULL_OVERHEAD,
     _simulate_queue,
     dynamic_makespan,
     static_makespan,
@@ -61,6 +66,51 @@ class TestMakespans:
         lpt = dynamic_makespan(plan, longest_first=True)
         fifo = dynamic_makespan(plan, longest_first=False)
         assert lpt <= 1.1 * fifo
+
+
+def _interpreted_makespans(plan, channel):
+    """Both makespans from the per-task ``execute`` loop."""
+    config = plan.accelerator.pipeline
+    little = LittlePipelineSim(config, channel)
+    big = BigPipelineSim(config, channel)
+    little_cycles = [
+        [little.execute(t.partition).total_cycles for t in tasks]
+        for tasks in plan.little_tasks
+    ]
+    big_cycles = [
+        [big.execute(t.partitions).total_cycles for t in tasks]
+        for tasks in plan.big_tasks
+    ]
+    static = max(sum(row) for row in little_cycles + big_cycles)
+    dynamic = max(
+        _simulate_queue(
+            sorted((c for row in rows for c in row), reverse=True),
+            len(rows), DYNAMIC_PULL_OVERHEAD,
+        ).makespan
+        for rows in (little_cycles, big_cycles)
+    )
+    return static, dynamic
+
+
+class TestCompiledTimings:
+    """Fault-free makespans read the plan's compiled timing memo; the
+    numbers must equal the per-task interpreted loop bit for bit."""
+
+    def test_bit_identical_to_execute_loop(self, plan):
+        channel = HbmChannelModel()
+        static, dynamic = _interpreted_makespans(plan, channel)
+        assert static_makespan(plan, channel) == static
+        assert dynamic_makespan(plan, channel) == dynamic
+        assert getattr(plan, "_compiled_engine", None) is not None
+
+    def test_fault_site_channel_is_timed_per_task(self, plan):
+        channel = HbmChannelModel(fault_site=FaultInjector(FaultPlan()))
+        static, dynamic = _interpreted_makespans(plan, channel)
+        assert static_makespan(plan, channel) == static
+        assert dynamic_makespan(plan, channel) == dynamic
+        # The compiled memo is keyed by channel parameters alone, so a
+        # fault-site channel must never populate it.
+        assert getattr(plan, "_compiled_engine", None) is None
 
 
 class TestSerialize:

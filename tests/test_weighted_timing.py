@@ -29,15 +29,15 @@ class TestWeightedStreams:
         # (2/3 of the 8 B rate) shows directly.
         sim = LittlePipelineSim(config, channel)
         dense = rmat_partitions.nonempty()[0]
-        plain, _ = sim.execute(dense)
-        weighted, _ = sim.execute(_with_weights(dense, rng))
+        plain = sim.execute(dense)
+        weighted = sim.execute(_with_weights(dense, rng))
         assert weighted.compute_cycles > 1.2 * plain.compute_cycles
 
     def test_weighted_big_no_faster(self, rmat_partitions, config, channel, rng):
         sim = BigPipelineSim(config, channel)
         dense = rmat_partitions.nonempty()[0]
-        plain, _ = sim.execute([dense])
-        weighted, _ = sim.execute([_with_weights(dense, rng)])
+        plain = sim.execute([dense])
+        weighted = sim.execute([_with_weights(dense, rng)])
         assert weighted.compute_cycles >= plain.compute_cycles
 
     def test_model_floor_tracks_edge_bytes(self, perf_model):
@@ -50,7 +50,7 @@ class TestWeightedStreams:
     def test_fixed_overheads_unchanged(self, rmat_partitions, config, channel, rng):
         sim = LittlePipelineSim(config, channel)
         sparse = rmat_partitions.nonempty()[-1]
-        plain, _ = sim.execute(sparse)
-        weighted, _ = sim.execute(_with_weights(sparse, rng))
+        plain = sim.execute(sparse)
+        weighted = sim.execute(_with_weights(sparse, rng))
         assert weighted.store_cycles == plain.store_cycles
         assert weighted.switch_cycles == plain.switch_cycles
